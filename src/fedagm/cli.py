@@ -8,8 +8,10 @@ fedagm compare <manifest.json>
 fedagm partition-report <config.json>
     Per-client class histograms and an entropy summary over an alpha grid.
 
-Exit codes: 0 success, 1 bad config, 2 divergence. FEDOPT_THREADS caps the
-parallelism; outputs are bit-identical for any value of it.
+Exit codes: 0 success, 1 bad config, 2 divergence. `run` executes its
+clients one after another on one thread; FEDOPT_THREADS sizes the pool that
+`compare` runs its cells in, and outputs are bit-identical for any value
+of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .config import (
     CompareManifest,
     build_dataset,
-    load_config,
     load_json_file,
     load_manifest,
     parse_config,
@@ -74,6 +75,10 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
         "divergence_round": result.divergence_round,
         "rounds_completed": len(result.metrics),
     }
+    if result.diverged:
+        # The final iterate has blown up; constants probed there are not estimates.
+        report["notes"] = f"run diverged at round {result.divergence_round}; no constants estimated"
+        return report
     try:
         if cfg.init_x is not None:
             x0 = np.asarray(cfg.init_x, dtype=np.float64)
@@ -123,17 +128,16 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            obj = load_json_file(args.config)
+        obj = load_json_file(args.config)
+        if args.seed is not None and isinstance(obj, dict):
             obj["seed"] = args.seed
-            cfg = parse_config(obj, base_dir=os.path.dirname(os.path.abspath(args.config)))
+        cfg = parse_config(obj, base_dir=os.path.dirname(os.path.abspath(args.config)))
         if args.timing:
             cfg.record_walltime = True
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run_experiment(cfg, threads=_threads())
+    result = run_experiment(cfg)
     out = args.out
     write_metrics(out, result.metrics)
     save_model(os.path.join(out, "model.bin"), result.final_x)
@@ -154,7 +158,7 @@ def _run_cell(base: dict, base_dir: str, method_sec: dict, seed: int):
     obj["server"] = method_sec
     obj["seed"] = seed
     cfg = parse_config(obj, base_dir=base_dir)
-    return run_experiment(cfg, threads=1)
+    return run_experiment(cfg)
 
 
 def cmd_compare(args) -> int:

@@ -63,8 +63,6 @@ class LocalResult:
     sum_grad_norm_sq: float
     new_control_variate: ParamVector | None = None
     trajectory: list = field(default_factory=list)
-    step_directions: list = field(default_factory=list)
-    mean_loss: float = 0.0
 
 
 def run_local(
@@ -78,8 +76,8 @@ def run_local(
 ) -> LocalResult:
     """Take x_start through the client's inner loop and report the endpoint.
 
-    With record=True the full iterate trajectory [x_0 .. x_K] and the
-    applied step directions are kept for drift and telescoping diagnostics.
+    With record=True the full iterate trajectory [x_0 .. x_K] is kept for
+    drift diagnostics.
     """
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (task.dim,):
@@ -101,9 +99,7 @@ def run_local(
 
     x = x_start.copy()
     sum_gsq = 0.0
-    loss_total = 0.0
     trajectory = [x.copy()] if record else []
-    directions = []
     for _ in range(steps):
         sample = stochastic_gradient(task, shard.data, x, batch, gen)
         direction = sample.grad
@@ -113,10 +109,8 @@ def run_local(
             direction = sample.grad - client_cv + server_cv
         x = x - cfg.gamma * direction
         sum_gsq += l2_norm_sq(sample.grad)
-        loss_total += sample.loss
         if record:
             trajectory.append(x.copy())
-            directions.append(direction.copy())
 
     new_cv = None
     if cfg.variant == "scaffold":
@@ -127,8 +121,6 @@ def run_local(
         sum_grad_norm_sq=sum_gsq,
         new_control_variate=new_cv,
         trajectory=trajectory,
-        step_directions=directions,
-        mean_loss=loss_total / steps,
     )
 
 

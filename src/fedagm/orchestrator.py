@@ -2,17 +2,15 @@
 point, average, take the server step, advance schedules, record metrics.
 
 Determinism contract: with a fixed seed the metric log is bit-identical
-under any thread count and any client-execution order. Three mechanisms
-carry that guarantee: every (round, slot) pair derives its own RNG stream,
-results land in slot-indexed cells, and aggregation always sums finals in
-ascending (client, slot) order.
+under any client-execution order. Three mechanisms carry that guarantee:
+every (round, slot) pair derives its own RNG stream, results land in
+slot-indexed cells, and aggregation always sums finals in ascending
+(client, slot) order.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +19,7 @@ from .errors import ParameterError, StructuralError
 from .local import LocalConfig, run_local
 from .numerics import RngStream, l2_norm_sq
 from .partition import ClientShard
-from .sampling import SamplingSpec, sample_round
+from .sampling import WEIGHT_SUM_TOL, SamplingSpec, sample_round
 from .serialize import RoundMetrics
 from .server import (
     ServerOptimizer,
@@ -103,6 +101,22 @@ class PlateauTracker:
             self.bad = 0
 
 
+def client_gradients(tasks: list[Task], shards, x: np.ndarray) -> np.ndarray:
+    """(N, d) stack of the clients' full gradients at x; a None shard has no data."""
+    return np.stack(
+        [full_gradient(t, None if s is None else s.data, x) for t, s in zip(tasks, shards)]
+    )
+
+
+def weighted_dissimilarity(
+    grads: np.ndarray, p: np.ndarray, w: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """(p-weighted mean gradient, sum_i w_i ||grad_i - mean||^2); w defaults to p."""
+    mean = p @ grads
+    gaps = ((grads - mean) ** 2).sum(axis=1)
+    return mean, float((p if w is None else w) @ gaps)
+
+
 @dataclass
 class FederatedProblem:
     """N clients' objectives and shards, plus an optional global test set.
@@ -119,8 +133,8 @@ class FederatedProblem:
     def __post_init__(self):
         if len(self.client_tasks) != len(self.shards) or not self.shards:
             raise StructuralError("need one task per shard, at least one client")
-        total = sum(shard.weight for shard in self.shards)
-        if abs(total - 1.0) > 1e-9:
+        total = float(self.weights.sum())
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise StructuralError(f"shard weights must sum to 1, got {total!r}")
 
     @property
@@ -136,20 +150,13 @@ class FederatedProblem:
         return np.array([shard.weight for shard in self.shards])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        grads = np.stack(
-            [full_gradient(t, s.data, x) for t, s in zip(self.client_tasks, self.shards)]
-        )
-        return self.weights @ grads
+        return self.weights @ client_gradients(self.client_tasks, self.shards, x)
 
     def gradient_stats(self, x: np.ndarray) -> tuple[float, float]:
         """(||grad f(x)||^2, weighted client-gradient dissimilarity) in one pass."""
-        grads = np.stack(
-            [full_gradient(t, s.data, x) for t, s in zip(self.client_tasks, self.shards)]
-        )
-        p = self.weights
-        mean = p @ grads
-        gaps = ((grads - mean) ** 2).sum(axis=1)
-        return float(mean @ mean), float(p @ gaps)
+        grads = client_gradients(self.client_tasks, self.shards, x)
+        mean, sigma_g = weighted_dissimilarity(grads, self.weights)
+        return float(mean @ mean), sigma_g
 
     def train_loss(self, x: np.ndarray) -> float:
         p = self.weights
@@ -213,27 +220,17 @@ class ExperimentResult:
         return self.state.x
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get("FEDOPT_THREADS", "1")))
-
-
-def run_experiment(
-    cfg: ExperimentConfig,
-    threads: int | None = None,
-    _execution_order=None,
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentResult:
     """Drive T rounds and return the full metric log.
 
-    A non-finite iterate or a training loss above the divergence cap aborts
-    the loop; the log then ends at the last finite round and the result is
-    marked diverged. `_execution_order` permutes the order in which client
-    slots are evaluated (testing hook: the output must not depend on it).
+    Client slots run one after another on the calling thread, in slot
+    order unless `_execution_order` permutes them (testing hook: the output
+    must not depend on the client-execution order). A non-finite iterate or
+    a training loss above the divergence cap aborts the loop; the log then
+    ends at the last finite round and the result is marked diverged.
     """
     prob = cfg.problem
     root = RngStream(cfg.seed)
-    threads = _resolve_threads(threads)
     T = cfg.rounds
     p = prob.weights
 
@@ -309,14 +306,8 @@ def run_experiment(
 
         order = range(len(sampled)) if _execution_order is None else _execution_order
         results = [None] * len(sampled)
-        if threads == 1:
-            for slot in order:
-                results[slot] = run_slot(slot)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {slot: pool.submit(run_slot, slot) for slot in order}
-                for slot, fut in futures.items():
-                    results[slot] = fut.result()
+        for slot in order:
+            results[slot] = run_slot(slot)
 
         if drift is not None:
             for slot, res in enumerate(results):

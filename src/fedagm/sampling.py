@@ -16,6 +16,9 @@ from .numerics import RngStream, as_generator
 
 MODES = ("weighted", "full")
 
+# How far client weights may sum from 1; every weight check uses this one.
+WEIGHT_SUM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SamplingSpec:
@@ -44,7 +47,7 @@ def sample_round(
         raise StructuralError("weights must be a nonempty vector")
     if np.any(p < 0):
         raise ParameterError("negative client weight")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise StructuralError(f"weights must sum to 1, got {p.sum()!r}")
     if spec.mode == "full":
         if spec.S != p.size:

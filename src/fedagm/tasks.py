@@ -55,10 +55,9 @@ class Dataset:
 
 @dataclass
 class GradSample:
-    """One minibatch draw: mean gradient, mean loss, and the rows used."""
+    """One minibatch draw: mean gradient and the rows used."""
 
     grad: ParamVector
-    loss: float
     batch_indices: np.ndarray
 
 
@@ -195,16 +194,14 @@ def _quadratic_sample_losses(task: QuadraticTask, feats, x):
     return 0.5 * ((dx * dx) @ task.curvature - (dz * dz) @ task.curvature)
 
 
-def _data_loss_grad(task: Task, feats, labels, x):
-    """Mean loss and mean gradient over the given rows, without weight decay."""
+def _data_grad(task: Task, feats, labels, x):
+    """Mean gradient over the given rows, without weight decay."""
     if isinstance(task, QuadraticTask):
-        loss = float(np.mean(_quadratic_sample_losses(task, feats, x)))
-        grad = task.curvature * (x - feats.mean(axis=0))
-        return loss, grad
+        return task.curvature * (x - feats.mean(axis=0))
     if isinstance(task, LogisticRegressionTask):
-        return _logistic_loss_grad(task, feats, labels, x)
+        return _logistic_loss_grad(task, feats, labels, x)[1]
     if isinstance(task, MlpTask):
-        return _mlp_loss_grad(task, feats, labels, x)
+        return _mlp_loss_grad(task, feats, labels, x)[1]
     raise StructuralError(f"unknown task kind {task!r}")
 
 
@@ -220,7 +217,7 @@ def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVect
     else:
         if data is None:
             raise StructuralError(f"{task.kind} gradient needs a dataset")
-        _, base = _data_loss_grad(task, data.features, data.labels, x)
+        base = _data_grad(task, data.features, data.labels, x)
     return base + task.weight_decay * x
 
 
@@ -236,12 +233,11 @@ def stochastic_gradient(
     if not 1 <= batch_size <= data.n:
         raise ParameterError(f"batch_size must be in [1, {data.n}], got {batch_size}")
     if batch_size == data.n:
-        loss, _ = _data_loss_grad(task, data.features, data.labels, x)
-        return GradSample(full_gradient(task, data, x), loss, np.arange(data.n))
+        return GradSample(full_gradient(task, data, x), np.arange(data.n))
     gen = as_generator(rng)
     idx = gen.choice(data.n, size=batch_size, replace=False)
-    loss, base = _data_loss_grad(task, data.features[idx], data.labels[idx], x)
-    return GradSample(base + task.weight_decay * x, loss, idx)
+    base = _data_grad(task, data.features[idx], data.labels[idx], x)
+    return GradSample(base + task.weight_decay * x, idx)
 
 
 def evaluate(task: Task, data: Dataset, x: ParamVector) -> tuple[float, float]:

@@ -15,11 +15,12 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .numerics import RngStream, as_generator
+from .orchestrator import client_gradients, weighted_dissimilarity
+from .sampling import WEIGHT_SUM_TOL
 from .server import Calibration
 from .tasks import (
     QuadraticTask,
     Task,
-    full_gradient,
     quadratic_sigma_sq,
     quadratic_smoothness,
     stochastic_gradient,
@@ -56,7 +57,7 @@ class ProblemConstants:
             raise ParameterError("constants must be nonnegative")
         if np.any(self.sigma_i < 0) or np.any(self.G_i < 0) or np.any(self.p < 0):
             raise ParameterError("per-client constants must be nonnegative")
-        if abs(self.p.sum() - 1.0) > 1e-12:
+        if abs(self.p.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise StructuralError("client weights must sum to 1")
         if self.K < 1 or self.S < 1:
             raise ParameterError("K and S must be >= 1")
@@ -167,15 +168,11 @@ def empirical_sigma_g(
     if mean not in ("weighted", "uniform"):
         raise ParameterError(f"unknown mean semantics {mean!r}")
     p = np.array([shard.weight for shard in shards])
+    w = p if mean == "weighted" else np.full(p.size, 1.0 / p.size)
     worst = 0.0
     for x in x_points:
-        grads = np.stack(
-            [full_gradient(task, shard.data, x) for task, shard in zip(tasks, shards)]
-        )
-        mean_grad = p @ grads
-        gaps = ((grads - mean_grad) ** 2).sum(axis=1)
-        w = p if mean == "weighted" else np.full(p.size, 1.0 / p.size)
-        worst = max(worst, float(np.dot(w, gaps)))
+        _, value = weighted_dissimilarity(client_gradients(tasks, shards, x), p, w)
+        worst = max(worst, value)
     return worst
 
 
@@ -206,10 +203,14 @@ def probe_gradient_bounds(
         raise ParameterError("need at least one probe point")
     out = np.zeros(len(tasks))
     for x in x_points:
-        for i, (task, shard) in enumerate(zip(tasks, shards)):
-            g = full_gradient(task, shard.data if shard is not None else None, x)
-            out[i] = max(out[i], math.sqrt(float(np.dot(g, g))))
+        _raise_to_norms(out, client_gradients(tasks, shards, x))
     return out
+
+
+def _raise_to_norms(bounds: np.ndarray, grads: np.ndarray) -> None:
+    """bounds[i] <- max(bounds[i], ||grads[i]||), in place."""
+    for i, g in enumerate(grads):
+        bounds[i] = max(bounds[i], math.sqrt(float(np.dot(g, g))))
 
 
 def mean_identity_zscores(draws: np.ndarray, expected_mean: np.ndarray) -> np.ndarray:
@@ -362,14 +363,16 @@ def estimate_problem_constants(
 
     Quadratic federations get analytic smoothness and per-client noise; the
     other task kinds are probed empirically (gradient Lipschitz ratio over
-    probe pairs, minibatch-noise sample variance at the first probe). G_i
-    and sigma_g are always probe maxima, so they are lower estimates of the
-    true suprema.
+    consecutive probes, minibatch-noise sample variance at the first probe).
+    G_i and sigma_g are always probe maxima, so they are lower estimates of
+    the true suprema. Each probe's client-gradient stack is built once,
+    reduced, and dropped before the next probe is stacked.
     """
     if not x_points:
         raise ParameterError("need at least one probe point")
     tasks = problem.client_tasks
     shards = problem.shards
+    p = problem.weights
     gen = as_generator(rng)
     all_quadratic = all(isinstance(t, QuadraticTask) for t in tasks)
 
@@ -383,37 +386,46 @@ def estimate_problem_constants(
         )
     else:
         L = 0.0
-        for a, b in zip(x_points, x_points[1:]):
-            ga = problem.global_gradient(a)
-            gb = problem.global_gradient(b)
-            gap = math.sqrt(float(np.sum((a - b) ** 2)))
-            if gap > 0:
-                L = max(L, math.sqrt(float(np.sum((ga - gb) ** 2))) / gap)
-        x0 = x_points[0]
-        sigma_sq = np.zeros(len(tasks))
-        for i, (t, s) in enumerate(zip(tasks, shards)):
-            exact = full_gradient(t, s.data, x0)
-            b = min(batch_size, s.data.n)
-            noise = [
-                np.sum((stochastic_gradient(t, s.data, x0, b, gen).grad - exact) ** 2)
-                for _ in range(noise_draws)
-            ]
-            sigma_sq[i] = float(np.mean(noise))
-        sigma_i = np.sqrt(sigma_sq)
-
-    G_i = probe_gradient_bounds(tasks, shards, x_points)
-    sigma_g = empirical_sigma_g(tasks, shards, x_points)
+    G_i = np.zeros(len(tasks))
+    sigma_g_sq = 0.0
+    for j, x in enumerate(x_points):
+        grads = client_gradients(tasks, shards, x)
+        _raise_to_norms(G_i, grads)
+        mean, dissimilarity = weighted_dissimilarity(grads, p)
+        sigma_g_sq = max(sigma_g_sq, dissimilarity)
+        if not all_quadratic:
+            if j == 0:
+                sigma_i = _minibatch_noise(tasks, shards, x, grads, batch_size, gen, noise_draws)
+            else:
+                gap = math.sqrt(float(np.sum((x_prev - x) ** 2)))
+                if gap > 0:
+                    L = max(L, math.sqrt(float(np.sum((mean_prev - mean) ** 2))) / gap)
+            x_prev, mean_prev = x, mean
+        del grads
     return ProblemConstants(
         L=L,
         sigma_i=sigma_i,
         G_i=G_i,
-        sigma_g=math.sqrt(sigma_g),
-        p=problem.weights,
+        sigma_g=math.sqrt(sigma_g_sq),
+        p=p,
         K=K,
         gamma=gamma,
         S=S,
         eta=eta,
     )
+
+
+def _minibatch_noise(tasks, shards, x, exact, batch_size, gen, draws) -> np.ndarray:
+    """Per-client root-mean-square distance of minibatch gradients from exact[i] at x."""
+    sigma_sq = np.zeros(len(tasks))
+    for i, (t, s) in enumerate(zip(tasks, shards)):
+        b = min(batch_size, s.data.n)
+        noise = [
+            np.sum((stochastic_gradient(t, s.data, x, b, gen).grad - exact[i]) ** 2)
+            for _ in range(draws)
+        ]
+        sigma_sq[i] = float(np.mean(noise))
+    return np.sqrt(sigma_sq)
 
 
 def calibration_span_violations(

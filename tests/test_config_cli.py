@@ -294,6 +294,19 @@ class TestRunCommand:
         assert report["divergence_round"] is not None
 
 
+    def test_diverged_run_reports_no_constants(self, tmp_path):
+        obj = quad_config(rounds=20, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(num_clients=8, dim=4)
+        obj["local"]["gamma"] = 5.0
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_DIVERGED
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["diverged"] is True
+        for key in ("constants", "V", "mu_lower", "mu_upper"):
+            assert key not in report
+        assert f"diverged at round {report['divergence_round']}" in report["notes"]
+
+
 class TestCompareCommand:
     def manifest(self, tmp_path, out):
         obj = {

@@ -78,19 +78,23 @@ class TestPlainSgd:
         cfg = LocalConfig(K=3, gamma=0.05, batch_size=4)
         out = run_local(task, shard, x0, cfg, rng=RngStream(5), record=True)
         assert out.sum_grad_norm_sq > 0
-        # K recorded directions, K+1 iterates, first iterate is the start
-        assert len(out.step_directions) == 3
+        # K+1 iterates, first iterate is the start
         assert len(out.trajectory) == 4
         np.testing.assert_array_equal(out.trajectory[0], x0)
 
     def test_telescoping_identity(self):
-        # x_start - x_final == gamma * sum of applied directions
+        # x_start - x_final == gamma * sum of applied directions, replayed
+        # from the recorded iterates on the same stream
         task, shard = quadratic_shard(seed=6)
         x0 = np.random.default_rng(7).normal(size=task.dim)
         cfg = LocalConfig(K=8, gamma=0.02, batch_size=5)
         out = run_local(task, shard, x0, cfg, rng=RngStream(6), record=True)
+        gen = RngStream(6).generator()
+        directions = [
+            stochastic_gradient(task, shard.data, xk, 5, gen).grad for xk in out.trajectory[:-1]
+        ]
         moved = x0 - out.x_final
-        summed = 0.02 * np.sum(out.step_directions, axis=0)
+        summed = 0.02 * np.sum(directions, axis=0)
         np.testing.assert_allclose(moved, summed, atol=1e-12)
 
 

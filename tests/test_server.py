@@ -23,6 +23,7 @@ from fedagm import (
     recover_baseline,
     run_local,
     server_step,
+    stochastic_gradient,
 )
 from fedagm.server import IDENTITY
 
@@ -58,8 +59,8 @@ class TestAggregate:
         np.testing.assert_allclose(delta, [-2.0], atol=1e-15)
 
     def test_direction_telescopes_local_steps(self):
-        # Oracle: delta = gamma * mean_i sum_k direction_{i,k}, rebuilt from
-        # the recorded per-step directions.
+        # Oracle: delta = gamma * mean_i sum_k direction_{i,k}, with the
+        # directions replayed from the recorded iterates on each client's stream.
         gen = np.random.default_rng(0)
         task = QuadraticTask(gen.uniform(0.5, 2.0, 3), gen.normal(size=3))
         x_t = gen.normal(size=3)
@@ -69,7 +70,10 @@ class TestAggregate:
             data = make_quadratic_client_data(task, 10, 1.0, RngStream(i))
             out = run_local(task, ClientShard(data, 1.0), x_t, cfg, rng=RngStream(100 + i), record=True)
             finals.append(out.x_final)
-            sums.append(np.sum(out.step_directions, axis=0))
+            replay = RngStream(100 + i).generator()
+            sums.append(
+                sum(stochastic_gradient(task, data, xk, 4, replay).grad for xk in out.trajectory[:-1])
+            )
         _, delta = aggregate(x_t, finals)
         oracle = 0.03 * np.mean(sums, axis=0)
         np.testing.assert_allclose(delta, oracle, atol=1e-10)

@@ -24,13 +24,15 @@ from fedagm import (
     make_quadratic_client_data,
     make_synthetic_federated_quadratic,
     mu_pair,
+    probe_gradient_bounds,
     quadratic_sigma_g_exact,
     rate_envelope,
     stepsize_admissible,
     verify_drift_bound,
     verify_lemma_second_moment,
 )
-from fedagm.orchestrator import FederatedProblem
+from fedagm.orchestrator import FederatedProblem, client_gradients
+from fedagm.tasks import full_gradient, stochastic_gradient
 
 
 def constants(**kw):
@@ -397,6 +399,63 @@ class TestEstimateConstants:
         assert c.L > 0
         assert np.all(c.sigma_i >= 0)
         assert np.all(c.G_i > 0)
+
+
+def logistic_problem(N=3):
+    from fedagm import LogisticRegressionTask, PartitionSpec, make_blobs_dataset, partition
+
+    data = make_blobs_dataset(20 * N, 3, 4, RngStream(7))
+    shards = partition(data, PartitionSpec("uniform", N=N), RngStream(8))
+    return FederatedProblem([LogisticRegressionTask(4, 3)] * N, shards)
+
+
+class TestClientGradientStack:
+    def probes(self, problem):
+        gen = np.random.default_rng(11)
+        return [np.zeros(problem.dim)] + [0.2 * gen.normal(size=problem.dim) for _ in range(2)]
+
+    def test_rows_are_the_client_full_gradients(self):
+        problem = logistic_problem()
+        x = self.probes(problem)[1]
+        grads = client_gradients(problem.client_tasks, problem.shards, x)
+        assert grads.shape == (problem.N, problem.dim)
+        for i, (task, shard) in enumerate(zip(problem.client_tasks, problem.shards)):
+            np.testing.assert_array_equal(grads[i], full_gradient(task, shard.data, x))
+
+    def test_global_gradient_is_the_weighted_stack(self):
+        problem = logistic_problem()
+        x = self.probes(problem)[2]
+        stack = client_gradients(problem.client_tasks, problem.shards, x)
+        np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
+
+    def test_streamed_constants_equal_the_probe_functions(self):
+        problem = logistic_problem()
+        tasks, shards = problem.client_tasks, problem.shards
+        probes = self.probes(problem)
+        c = estimate_problem_constants(
+            problem, K=2, gamma=0.05, S=2, eta=1.0, x_points=probes,
+            rng=RngStream(9), batch_size=8, noise_draws=4,
+        )
+        np.testing.assert_array_equal(c.G_i, probe_gradient_bounds(tasks, shards, probes))
+        assert c.sigma_g == math.sqrt(empirical_sigma_g(tasks, shards, probes))
+        # L: largest global-gradient ratio over consecutive probes
+        L = 0.0
+        for a, b in zip(probes, probes[1:]):
+            ga, gb = problem.global_gradient(a), problem.global_gradient(b)
+            gap = math.sqrt(float(np.sum((a - b) ** 2)))
+            L = max(L, math.sqrt(float(np.sum((ga - gb) ** 2))) / gap)
+        assert c.L == L
+        # sigma_i: minibatch noise at the first probe, drawn from the same stream
+        gen = RngStream(9).generator()
+        sigma_sq = []
+        for task, shard in zip(tasks, shards):
+            exact = full_gradient(task, shard.data, probes[0])
+            draws = [
+                np.sum((stochastic_gradient(task, shard.data, probes[0], 8, gen).grad - exact) ** 2)
+                for _ in range(4)
+            ]
+            sigma_sq.append(float(np.mean(draws)))
+        np.testing.assert_array_equal(c.sigma_i, np.sqrt(sigma_sq))
 
 
 class TestConstantsValidation:
