@@ -9,13 +9,11 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .local import LocalConfig, LocalResult, drift_diagnostic, run_local
+from .local import LocalConfig, LocalResult, run_local
 from .numerics import (
     ParamVector,
     RngStream,
     as_generator,
-    axpy,
-    elementwise,
     l2_norm_sq,
     sample_dirichlet,
     splitmix64,

@@ -36,7 +36,7 @@ from .config import (
 )
 from .errors import ConfigError, FedAgmError
 from .numerics import RngStream
-from .orchestrator import ExperimentConfig, ExperimentResult, run_experiment
+from .orchestrator import ExperimentConfig, ExperimentResult, initial_point, run_experiment
 from .partition import (
     empirical_label_histogram,
     mean_label_entropy,
@@ -45,7 +45,6 @@ from .partition import (
 )
 from .serialize import atomic_write_text, fmt17, save_model, write_json, write_metrics
 from .server import recover_baseline
-from .tasks import init_params
 from .theory import (
     compute_V,
     estimate_problem_constants,
@@ -80,12 +79,7 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
         report["notes"] = f"run diverged at round {result.divergence_round}; no constants estimated"
         return report
     try:
-        if cfg.init_x is not None:
-            x0 = np.asarray(cfg.init_x, dtype=np.float64)
-        else:
-            from .orchestrator import TAG_INIT
-
-            x0 = init_params(cfg.problem.client_tasks[0], RngStream(cfg.seed).derive(TAG_INIT))
+        x0 = initial_point(cfg)
         probes = [x0, result.final_x, 0.5 * (x0 + result.final_x)]
         c = estimate_problem_constants(
             cfg.problem,
@@ -145,7 +139,7 @@ def cmd_run(args) -> int:
     if result.diverged:
         print(
             f"diverged at round {result.divergence_round}; "
-            f"last finite round is {result.metrics[-1].t if result.metrics else 'none'}",
+            f"last logged round is {result.metrics[-1].t if result.metrics else 'none'}",
             file=sys.stderr,
         )
         return EXIT_DIVERGED

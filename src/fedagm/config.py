@@ -302,12 +302,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
         gamma_schedule=gamma_sched,
         eta_schedule=eta_sched,
         eval_every=_get_int(obj, "eval_every", "config", default=1, minimum=1),
-        record_walltime=bool(_get(obj, "record_walltime", "config", default=False)),
     )
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return parse_config(load_json_file(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 @dataclass

@@ -5,10 +5,12 @@ sgd        x <- x - gamma * g
 prox       x <- x - gamma * (g + mu * (x - x_start)), pulling back toward
            the broadcast point
 scaffold   x <- x - gamma * (g - c_i + c), drift-corrected by the client
-           and server control variates; the client variate is refreshed
-           from the realized displacement after the K steps
+           variate c_i and the server variate c, both passed in by the
+           caller; the refreshed client variate is computed from the
+           realized displacement after the K steps and handed back
 
-All variants leave x_start, the shard, and its data untouched.
+All variants leave x_start, the shard, its data and the variates
+untouched; the round loop owns the SCAFFOLD state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .numerics import ParamVector, RngStream, as_generator, l2_norm_sq
+from .numerics import ParamVector, RngStream, as_generator
 from .partition import ClientShard
 from .tasks import Task, stochastic_gradient
 
@@ -60,7 +62,6 @@ class LocalResult:
 
     x_final: ParamVector
     steps_taken: int
-    sum_grad_norm_sq: float
     new_control_variate: ParamVector | None = None
     trajectory: list = field(default_factory=list)
 
@@ -71,13 +72,15 @@ def run_local(
     x_start: ParamVector,
     cfg: LocalConfig,
     server_cv: ParamVector | None = None,
+    client_cv: ParamVector | None = None,
     rng: RngStream | np.random.Generator = RngStream(0),
     record: bool = False,
 ) -> LocalResult:
     """Take x_start through the client's inner loop and report the endpoint.
 
     With record=True the full iterate trajectory [x_0 .. x_K] is kept for
-    drift diagnostics.
+    drift diagnostics. The scaffold variant needs the server variate and
+    takes the client variate as zero when none is given.
     """
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (task.dim,):
@@ -86,11 +89,9 @@ def run_local(
         if server_cv is None:
             raise StructuralError("scaffold needs the server control variate")
         server_cv = np.asarray(server_cv, dtype=np.float64)
-        if server_cv.shape != x_start.shape:
-            raise StructuralError("server control variate has the wrong dimension")
-    client_cv = shard.control_variate
-    if cfg.variant == "scaffold" and client_cv is None:
-        client_cv = np.zeros_like(x_start)
+        client_cv = np.zeros_like(x_start) if client_cv is None else np.asarray(client_cv, np.float64)
+        if server_cv.shape != x_start.shape or client_cv.shape != x_start.shape:
+            raise StructuralError("control variates have the wrong dimension")
 
     gen = as_generator(rng)
     n = shard.data.n
@@ -98,7 +99,6 @@ def run_local(
     steps = math.ceil(n / batch) if cfg.epoch_mode else cfg.K
 
     x = x_start.copy()
-    sum_gsq = 0.0
     trajectory = [x.copy()] if record else []
     for _ in range(steps):
         sample = stochastic_gradient(task, shard.data, x, batch, gen)
@@ -108,7 +108,6 @@ def run_local(
         elif cfg.variant == "scaffold":
             direction = sample.grad - client_cv + server_cv
         x = x - cfg.gamma * direction
-        sum_gsq += l2_norm_sq(sample.grad)
         if record:
             trajectory.append(x.copy())
 
@@ -118,16 +117,7 @@ def run_local(
     return LocalResult(
         x_final=x,
         steps_taken=steps,
-        sum_grad_norm_sq=sum_gsq,
         new_control_variate=new_cv,
         trajectory=trajectory,
     )
 
-
-def drift_diagnostic(trajectory: list, x_start: ParamVector) -> float:
-    """Sum over the trajectory of squared distances to the broadcast point."""
-    x_start = np.asarray(x_start, dtype=np.float64)
-    total = 0.0
-    for x in trajectory:
-        total += l2_norm_sq(np.asarray(x) - x_start)
-    return total

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, StructuralError
+from .errors import NumericError, ParameterError
 
 # Public alias: 1-D float64 array of fixed length d.
 ParamVector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
-
-_ELEMENTWISE_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-    "max": np.maximum,
-}
 
 
 def splitmix64(z: int) -> int:
@@ -68,51 +60,6 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng
-
-
-def as_param_vector(values) -> ParamVector:
-    """Coerce to a finite 1-D float64 array."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise StructuralError(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("vector contains NaN or Inf")
-    return x
-
-
-def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise StructuralError(f"length mismatch: {a.shape} vs {b.shape}")
-
-
-def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{what} produced NaN or Inf")
-    return x
-
-
-def elementwise(a: ParamVector, b: ParamVector, op: str) -> ParamVector:
-    """Element-wise add/sub/mul/div/max of two equal-length vectors."""
-    if op not in _ELEMENTWISE_OPS:
-        raise ParameterError(f"unknown elementwise op {op!r}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_length(a, b)
-    if op == "div" and np.any(b == 0.0):
-        raise NumericError("elementwise div: zero entry in denominator")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _ELEMENTWISE_OPS[op](a, b)
-    return _check_finite(out, f"elementwise {op}")
-
-
-def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """alpha * x + y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_same_length(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = alpha * x + y
-    return _check_finite(out, "axpy")
 
 
 def l2_norm_sq(x: ParamVector) -> float:

@@ -201,7 +201,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Metric log plus the final server state and optional diagnostics."""
+    """Metric log plus the final server state and optional diagnostics.
+
+    `control_variates` is the final (N, d) table of SCAFFOLD client
+    variates (row i is client i's); it is None unless the run is scaffold.
+    """
 
     metrics: list[RoundMetrics]
     state: ServerState
@@ -210,6 +214,7 @@ class ExperimentResult:
     divergence_round: int | None = None
     iterates: list | None = None
     drift: np.ndarray | None = None
+    control_variates: np.ndarray | None = None
 
     @property
     def grad_norm_history(self) -> np.ndarray:
@@ -220,34 +225,44 @@ class ExperimentResult:
         return self.state.x
 
 
+def initial_point(cfg: ExperimentConfig) -> np.ndarray:
+    """The run's x0: a copy of `init_x` if given, else drawn from the seed."""
+    if cfg.init_x is None:
+        return init_params(cfg.problem.client_tasks[0], RngStream(cfg.seed).derive(TAG_INIT))
+    x0 = np.asarray(cfg.init_x, dtype=np.float64).copy()
+    if x0.shape != (cfg.problem.dim,):
+        raise StructuralError("init_x does not match the model dimension")
+    return x0
+
+
 def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentResult:
     """Drive T rounds and return the full metric log.
 
     Client slots run one after another on the calling thread, in slot
     order unless `_execution_order` permutes them (testing hook: the output
-    must not depend on the client-execution order). A non-finite iterate or
-    a training loss above the divergence cap aborts the loop; the log then
-    ends at the last finite round and the result is marked diverged.
+    must not depend on the client-execution order).
+
+    A non-finite iterate at the start of a round, or a training loss above
+    the divergence cap, aborts the loop; the log then ends at the last
+    logged round and the result is marked diverged. The loss is computed,
+    and so the cap checked, only on evaluated rounds (every `eval_every`-th
+    and the last), or on every round when a plateau schedule is in use, so
+    a run can take up to `eval_every - 1` more rounds after its loss passed
+    the cap.
+
+    For the scaffold variant the round loop owns all SCAFFOLD state: one
+    (N, d) table of client variates, zero at the start. Each round hands
+    every slot its client's row and the table's mean as the server variate;
+    after the round, each sampled client's row becomes the variate its last
+    slot returned.
     """
     prob = cfg.problem
     root = RngStream(cfg.seed)
     T = cfg.rounds
     p = prob.weights
 
-    if cfg.init_x is not None:
-        x0 = np.asarray(cfg.init_x, dtype=np.float64).copy()
-        if x0.shape != (prob.dim,):
-            raise StructuralError("init_x does not match the model dimension")
-    else:
-        x0 = init_params(prob.client_tasks[0], root.derive(TAG_INIT))
-
-    use_cv = cfg.local.variant == "scaffold"
-    state = init_server_state(x0, with_control_variate=use_cv)
-    # Local copies so a run never mutates the caller's shards.
-    shards = [
-        ClientShard(s.data, s.weight, np.zeros(prob.dim) if use_cv else None, s.indices)
-        for s in prob.shards
-    ]
+    state = init_server_state(initial_point(cfg))
+    cv_table = np.zeros((prob.N, prob.dim)) if cfg.local.variant == "scaffold" else None
 
     gamma_tracker = PlateauTracker(cfg.gamma_schedule.patience)
     eta_tracker = PlateauTracker(cfg.eta_schedule.patience)
@@ -289,17 +304,18 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
         sampled = sample_round(p, cfg.sampling, root.derive(TAG_SAMPLE, t))
         local_cfg = replace(cfg.local, gamma=gamma_t)
         broadcast_x = state.x
-        server_cv = state.server_cv
+        server_cv = None if cv_table is None else cv_table.mean(axis=0)
 
         def run_slot(slot: int):
             ci = int(sampled[slot])
             stream = root.derive(TAG_LOCAL, t, slot, ci)
             return run_local(
                 prob.client_tasks[ci],
-                shards[ci],
+                prob.shards[ci],
                 broadcast_x,
                 local_cfg,
                 server_cv=server_cv,
+                client_cv=None if cv_table is None else cv_table[ci],
                 rng=stream,
                 record=cfg.record_drift,
             )
@@ -311,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
 
         if drift is not None:
             for slot, res in enumerate(results):
-                w = shards[int(sampled[slot])].weight
+                w = p[int(sampled[slot])]
                 for k, xk in enumerate(res.trajectory):
                     drift[t, k] += w * l2_norm_sq(xk - broadcast_x)
 
@@ -320,13 +336,10 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
         slot_order = sorted(range(len(sampled)), key=lambda s: (int(sampled[s]), s))
         x_tilde, delta = aggregate(state.x, [results[s].x_final for s in slot_order])
 
-        if use_cv:
-            new_cvs = [results[s].new_control_variate for s in range(len(sampled))]
-            old_cvs = [shards[int(sampled[s])].control_variate for s in range(len(sampled))]
-            jump = np.stack([new - old for new, old in zip(new_cvs, old_cvs)]).mean(axis=0)
-            for s in range(len(sampled)):
-                shards[int(sampled[s])].control_variate = new_cvs[s].copy()
-            state.server_cv = state.server_cv + (len(sampled) / prob.N) * jump
+        if cv_table is not None:
+            # Slot order: a client drawn twice keeps its last slot's variate.
+            for slot, res in enumerate(results):
+                cv_table[int(sampled[slot])] = res.new_control_variate
 
         state = server_step(state, delta, replace(cfg.server, eta=eta_t), x_tilde=x_tilde)
 
@@ -356,4 +369,5 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
         divergence_round=divergence_round,
         iterates=iterates,
         drift=drift,
+        control_variates=cv_table,
     )

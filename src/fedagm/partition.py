@@ -64,11 +64,10 @@ class PartitionSpec:
 
 @dataclass
 class ClientShard:
-    """One client's local data, its sampling weight, and optional drift-correction state."""
+    """One client's local data, its sampling weight, and where it came from."""
 
     data: Dataset
     weight: float
-    control_variate: np.ndarray | None = None
     indices: np.ndarray | None = None
 
 

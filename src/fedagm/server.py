@@ -83,15 +83,13 @@ class ServerState:
     m: ParamVector
     v: ParamVector
     t: int = 0
-    server_cv: ParamVector | None = None
     yogi_clamped: bool = False
 
 
-def init_server_state(x0: ParamVector, with_control_variate: bool = False) -> ServerState:
+def init_server_state(x0: ParamVector) -> ServerState:
     x0 = np.asarray(x0, dtype=np.float64)
     zeros = np.zeros_like(x0)
-    cv = np.zeros_like(x0) if with_control_variate else None
-    return ServerState(x=x0.copy(), m=zeros.copy(), v=zeros.copy(), server_cv=cv)
+    return ServerState(x=x0.copy(), m=zeros.copy(), v=zeros.copy())
 
 
 def aggregate(x_t: ParamVector, client_finals: list[ParamVector]) -> tuple[ParamVector, ParamVector]:
@@ -165,7 +163,6 @@ def server_step(
         m=m,
         v=v,
         t=state.t + 1,
-        server_cv=state.server_cv,
         yogi_clamped=state.yogi_clamped or clamped,
     )
 

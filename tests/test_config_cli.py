@@ -293,6 +293,25 @@ class TestRunCommand:
         assert report["diverged"] is True
         assert report["divergence_round"] is not None
 
+    def test_divergence_message_names_the_last_logged_round(self, tmp_path, capsys):
+        # The loss cap is checked only on evaluated rounds, so a sparse log
+        # finds the divergence late; the message must not call round 0 of
+        # such a log the last finite one.
+        rounds = {}
+        for every in (2000, 1):
+            obj = quad_config(rounds=30, eval_every=every, server={"name": "FedAvg", "eta": 1.0})
+            obj["task"].update(num_clients=8, dim=4)
+            obj["local"]["gamma"] = 5.0
+            out = tmp_path / f"out{every}"
+            cfg = write_config(tmp_path, obj, name=f"config{every}.json")
+            assert main(["run", cfg, "--out", str(out)]) == EXIT_DIVERGED
+            report = json.loads((out / "bound_report.json").read_text())
+            last = int(read_rows(out / "metrics.csv")[-1][0])
+            err = capsys.readouterr().err
+            assert f"diverged at round {report['divergence_round']}; last logged round is {last}" in err
+            assert "finite" not in err
+            rounds[every] = report["divergence_round"]
+        assert rounds[1] <= rounds[2000]
 
     def test_diverged_run_reports_no_constants(self, tmp_path):
         obj = quad_config(rounds=20, server={"name": "FedAvg", "eta": 1.0})

@@ -12,7 +12,6 @@ from fedagm import (
     QuadraticTask,
     RngStream,
     StructuralError,
-    drift_diagnostic,
     make_quadratic_client_data,
     run_local,
     stochastic_gradient,
@@ -70,14 +69,12 @@ class TestPlainSgd:
         run_local(task, shard, x0, cfg, rng=RngStream(3))
         np.testing.assert_array_equal(x0, x0_copy)
         np.testing.assert_array_equal(shard.data.features, feats_copy)
-        assert shard.control_variate is None
 
-    def test_grad_norm_accumulator(self):
+    def test_trajectory_records_every_iterate(self):
         task, shard = quadratic_shard()
         x0 = np.zeros(task.dim)
         cfg = LocalConfig(K=3, gamma=0.05, batch_size=4)
         out = run_local(task, shard, x0, cfg, rng=RngStream(5), record=True)
-        assert out.sum_grad_norm_sq > 0
         # K+1 iterates, first iterate is the start
         assert len(out.trajectory) == 4
         np.testing.assert_array_equal(out.trajectory[0], x0)
@@ -149,6 +146,15 @@ class TestScaffold:
         with pytest.raises(StructuralError):
             run_local(task, shard, np.zeros(task.dim), cfg)
 
+    def test_rejects_variates_of_the_wrong_dimension(self):
+        task, shard = quadratic_shard()
+        cfg = LocalConfig(K=2, gamma=0.05, batch_size=4, variant="scaffold")
+        x0 = np.zeros(task.dim)
+        with pytest.raises(StructuralError):
+            run_local(task, shard, x0, cfg, server_cv=np.zeros(task.dim + 1))
+        with pytest.raises(StructuralError):
+            run_local(task, shard, x0, cfg, server_cv=x0, client_cv=np.zeros(task.dim + 1))
+
     def test_zero_variates_match_plain_sgd(self):
         task, shard = quadratic_shard(seed=12)
         x0 = np.random.default_rng(13).normal(size=task.dim)
@@ -164,48 +170,28 @@ class TestScaffold:
         x0 = np.random.default_rng(15).normal(size=task.dim)
         c = 0.1 * np.ones(task.dim)
         ci = -0.05 * np.ones(task.dim)
-        shard_with_cv = ClientShard(shard.data, 1.0, control_variate=ci.copy())
+        ci_given = ci.copy()
         cfg = LocalConfig(K=4, gamma=0.05, batch_size=4, variant="scaffold")
-        out = run_local(task, shard_with_cv, x0, cfg, server_cv=c, rng=RngStream(11))
+        out = run_local(task, shard, x0, cfg, server_cv=c, client_cv=ci_given, rng=RngStream(11))
         expected = ci - c + (x0 - out.x_final) / (4 * 0.05)
         np.testing.assert_allclose(out.new_control_variate, expected, atol=1e-12)
         # caller's copy untouched
-        np.testing.assert_array_equal(shard_with_cv.control_variate, ci)
+        np.testing.assert_array_equal(ci_given, ci)
 
     def test_matched_variates_cancel(self):
         # c_i == c makes the correction g - c_i + c collapse back to g.
         task, shard = quadratic_shard(seed=16)
         x0 = np.random.default_rng(17).normal(size=task.dim)
         cv = 0.3 * np.ones(task.dim)
-        shard_cv = ClientShard(shard.data, 1.0, control_variate=cv.copy())
         plain = run_local(
             task, shard, x0, LocalConfig(K=6, gamma=0.05, batch_size=4), rng=RngStream(12)
         )
         corrected = run_local(
-            task, shard_cv, x0,
+            task, shard, x0,
             LocalConfig(K=6, gamma=0.05, batch_size=4, variant="scaffold"),
-            server_cv=cv, rng=RngStream(12),
+            server_cv=cv, client_cv=cv.copy(), rng=RngStream(12),
         )
         np.testing.assert_allclose(corrected.x_final, plain.x_final, atol=1e-10)
-
-
-class TestDriftDiagnostic:
-    def test_empty_trajectory(self):
-        assert drift_diagnostic([], np.zeros(3)) == 0.0
-
-    def test_hand_example(self):
-        x0 = np.zeros(2)
-        traj = [x0, x0 + np.array([1.0, 0.0]), x0 + np.array([2.0, 0.0])]
-        # Oracle: fsum of squared distances 0 + 1 + 4
-        assert drift_diagnostic(traj, x0) == pytest.approx(5.0, abs=1e-12)
-
-    def test_stationary_start_has_zero_drift(self):
-        task, _ = quadratic_shard()
-        data = make_quadratic_client_data(task, 8, 0.0, RngStream(1))
-        shard = ClientShard(data, 1.0)
-        cfg = LocalConfig(K=5, gamma=0.1, batch_size=8)
-        out = run_local(task, shard, task.center.copy(), cfg, rng=RngStream(2), record=True)
-        assert drift_diagnostic(out.trajectory, task.center) == 0.0
 
 
 class TestConfigValidation:

@@ -4,22 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedagm import (
-    NumericError,
     ParameterError,
     RngStream,
-    StructuralError,
     as_generator,
-    axpy,
-    elementwise,
     l2_norm_sq,
     sample_dirichlet,
     splitmix64,
 )
-from fedagm.numerics import as_param_vector
 
 # First outputs of the reference splitmix64 stream seeded with 0.
 GOLDEN = 0x9E3779B97F4A7C15
@@ -49,88 +42,6 @@ def test_splitmix64_matches_independent_reference():
 def test_splitmix64_wraps_modulo_2_64():
     assert splitmix64((1 << 64) + 5) == splitmix64(5)
     assert 0 <= splitmix64((1 << 64) - 1) < (1 << 64)
-
-
-class TestElementwise:
-    def test_add_example(self):
-        out = elementwise([1.0, 2.0], [3.0, 4.0], "add")
-        np.testing.assert_array_equal(out, [4.0, 6.0])
-
-    def test_mul_by_ones_is_identity(self):
-        x = np.linspace(-3.0, 5.0, 17)
-        out = elementwise(x, np.ones_like(x), "mul")
-        np.testing.assert_array_equal(out, x)
-
-    def test_max_example(self):
-        out = elementwise([1.0, 5.0], [3.0, 2.0], "max")
-        np.testing.assert_array_equal(out, [3.0, 5.0])
-
-    def test_sub_and_div(self):
-        np.testing.assert_array_equal(
-            elementwise([5.0, 7.0], [2.0, 3.0], "sub"), [3.0, 4.0]
-        )
-        np.testing.assert_array_equal(
-            elementwise([6.0, -9.0], [2.0, 3.0], "div"), [3.0, -3.0]
-        )
-
-    def test_div_by_zero_entry_raises(self):
-        with pytest.raises(NumericError):
-            elementwise([1.0, 1.0], [1.0, 0.0], "div")
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(StructuralError):
-            elementwise([1.0, 2.0], [1.0, 2.0, 3.0], "add")
-
-    def test_unknown_op_raises(self):
-        with pytest.raises(ParameterError):
-            elementwise([1.0], [1.0], "pow")
-
-    def test_nonfinite_result_raises(self):
-        with pytest.raises(NumericError):
-            elementwise([1e308], [1e308], "mul")
-
-    @given(
-        n=st.integers(min_value=1, max_value=256),
-        op=st.sampled_from(["add", "sub", "mul", "max"]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_length_preserving(self, n, op, seed):
-        gen = np.random.default_rng(seed)
-        a = gen.uniform(-10.0, 10.0, size=n)
-        b = gen.uniform(-10.0, 10.0, size=n)
-        assert elementwise(a, b, op).shape == (n,)
-
-
-class TestAxpy:
-    def test_alpha_zero_returns_y(self):
-        x = np.array([9.0, -2.0, 4.0])
-        y = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(axpy(0.0, x, y), y)
-
-    def test_alpha_one_with_zero_y_returns_x(self):
-        x = np.array([9.0, -2.0, 4.0])
-        np.testing.assert_array_equal(axpy(1.0, x, np.zeros(3)), x)
-
-    def test_example(self):
-        np.testing.assert_array_equal(
-            axpy(2.0, [1.0, 1.0], [1.0, 2.0]), [3.0, 4.0]
-        )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(StructuralError):
-            axpy(1.0, [1.0, 2.0], [1.0])
-
-    @given(
-        n=st.integers(min_value=1, max_value=256),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_length_preserving(self, n, seed):
-        gen = np.random.default_rng(seed)
-        x = gen.normal(size=n)
-        y = gen.normal(size=n)
-        assert axpy(0.5, x, y).shape == (n,)
 
 
 class TestNormSq:
@@ -240,18 +151,3 @@ class TestStreams:
         a = sample_dirichlet(RngStream(1, 2), 0.3, 12)
         b = sample_dirichlet(RngStream(1, 2), 0.3, 12)
         np.testing.assert_array_equal(a, b)
-
-
-class TestAsParamVector:
-    def test_copies_and_casts(self):
-        x = as_param_vector([1, 2, 3])
-        assert x.dtype == np.float64
-        assert x.shape == (3,)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(StructuralError):
-            as_param_vector(np.ones((2, 2)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NumericError):
-            as_param_vector([1.0, float("nan")])

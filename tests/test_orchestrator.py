@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedagm.orchestrator as orch
 from fedagm import (
@@ -23,6 +25,7 @@ from fedagm import (
     make_synthetic_federated_quadratic,
     named_optimizer,
     run_experiment,
+    run_local,
     stochastic_gradient,
 )
 from fedagm.orchestrator import TAG_INIT, TAG_LOCAL
@@ -248,6 +251,50 @@ class TestScaffoldIntegration:
         for xa, xb in zip(plain.iterates, scaf.iterates):
             np.testing.assert_allclose(xa, xb, atol=1e-10)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(2, 6),
+        S=st.integers(1, 6),
+        mode=st.sampled_from(["weighted", "full"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_server_variate_is_the_mean_of_client_variates(self, N, S, mode, seed):
+        # SCAFFOLD's server variate is the mean of all N client variates.
+        # Rebuild the client table from the logged draws (slot order, last
+        # slot wins) and check every server variate a slot receives.
+        problem = quadratic_problem(N=N, seed=seed)
+        S = N if mode == "full" else S
+        cfg = config(
+            problem,
+            local=LocalConfig(K=3, gamma=0.05, batch_size=6, variant="scaffold"),
+            sampling=SamplingSpec(S=S, mode=mode),
+            server=ServerOptimizer("avg", eta=1.0),
+            rounds=15,
+            eval_every=1,
+            seed=seed,
+        )
+        calls = []
+
+        def recording_run_local(*args, **kwargs):
+            out = run_local(*args, **kwargs)
+            calls.append((kwargs["server_cv"].copy(), out.new_control_variate.copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orch, "run_local", recording_run_local)
+            result = run_experiment(cfg)
+
+        assert len(result.metrics) == cfg.rounds
+        table = np.zeros((N, problem.dim))
+        calls = iter(calls)
+        for row in result.metrics:
+            round_calls = [next(calls) for _ in row.clients]
+            for server_cv, _ in round_calls:
+                np.testing.assert_allclose(server_cv, table.mean(axis=0), rtol=0, atol=1e-12)
+            for ci, (_, new_cv) in zip(row.clients, round_calls):
+                table[ci] = new_cv
+        np.testing.assert_array_equal(result.control_variates, table)
+
     def test_scaffold_state_is_tracked(self):
         problem = quadratic_problem(N=3)
         cfg = config(
@@ -258,10 +305,10 @@ class TestScaffoldIntegration:
             rounds=5,
         )
         result = run_experiment(cfg)
-        assert result.state.server_cv is not None
-        assert result.state.server_cv.shape == (problem.dim,)
-        # the caller's shards must never pick up control variates
-        assert all(s.control_variate is None for s in problem.shards)
+        assert result.control_variates.shape == (problem.N, problem.dim)
+        assert np.all(np.isfinite(result.control_variates))
+        plain = run_experiment(config(problem, rounds=2))
+        assert plain.control_variates is None
 
 
 class TestSchedules:
