@@ -9,7 +9,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .local import LocalConfig, LocalResult, run_local
+from .local import LocalConfig, LocalResult, run_clients, run_local
 from .numerics import (
     ParamVector,
     RngStream,
@@ -61,6 +61,7 @@ from .tasks import (
     LogisticRegressionTask,
     MlpTask,
     QuadraticTask,
+    StackedFederation,
     evaluate,
     full_gradient,
     init_params,

@@ -8,8 +8,8 @@ fedagm compare <manifest.json>
 fedagm partition-report <config.json>
     Per-client class histograms and an entropy summary over an alpha grid.
 
-Exit codes: 0 success, 1 bad config, 2 divergence. `run` executes its
-clients one after another on one thread; FEDOPT_THREADS sizes the pool that
+Exit codes: 0 success, 1 bad config, 2 divergence. `run` works on one
+thread, its sampled clients in lockstep; FEDOPT_THREADS sizes the pool that
 `compare` runs its cells in, and outputs are bit-identical for any value
 of it.
 """
@@ -115,7 +115,7 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
             report["rate_envelope"] = rate_envelope(history, mu, c).to_dict()
         else:
             report["rate_envelope"] = {"notes": "fewer than 20 recorded rounds; skipped"}
-    except FedAgmError as exc:
+    except (FedAgmError, OverflowError) as exc:
         report["notes"] = f"bound analysis unavailable: {exc}"
     return report
 

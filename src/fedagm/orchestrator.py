@@ -2,21 +2,24 @@
 point, average, take the server step, advance schedules, record metrics.
 
 Determinism contract: with a fixed seed the metric log is bit-identical
-under any client-execution order. Three mechanisms carry that guarantee:
-every (round, slot) pair derives its own RNG stream, results land in
-slot-indexed cells, and aggregation always sums finals in ascending
-(client, slot) order.
+from run to run. Three mechanisms carry that guarantee: every (round,
+slot) pair derives its own RNG stream, the slots of a round run in
+lockstep with each slot's arithmetic independent of the others, and
+aggregation always sums finals in ascending (client, slot) order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .local import LocalConfig, run_local
+# run_local and full_gradient are not called here; they stay bound in this
+# module for code that wraps its names.
+from .local import LocalConfig, run_clients, run_local  # noqa: F401
 from .numerics import RngStream, l2_norm_sq
 from .partition import ClientShard
 from .sampling import WEIGHT_SUM_TOL, SamplingSpec, sample_round
@@ -29,7 +32,17 @@ from .server import (
     recover_baseline,
     server_step,
 )
-from .tasks import Dataset, Task, evaluate, full_gradient, init_params
+from .tasks import (
+    Dataset,
+    StackedFederation,
+    Task,
+    check_federation,
+    client_gradients,
+    client_losses,
+    evaluate,
+    full_gradient,
+    init_params,
+)
 
 # Stream tags: fixed keys that keep the per-purpose child streams apart.
 TAG_INIT = 0x696E6974
@@ -101,13 +114,6 @@ class PlateauTracker:
             self.bad = 0
 
 
-def client_gradients(tasks: list[Task], shards, x: np.ndarray) -> np.ndarray:
-    """(N, d) stack of the clients' full gradients at x; a None shard has no data."""
-    return np.stack(
-        [full_gradient(t, None if s is None else s.data, x) for t, s in zip(tasks, shards)]
-    )
-
-
 def weighted_dissimilarity(
     grads: np.ndarray, p: np.ndarray, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
@@ -121,9 +127,11 @@ def weighted_dissimilarity(
 class FederatedProblem:
     """N clients' objectives and shards, plus an optional global test set.
 
-    Data-driven problems share one task object across clients; synthetic
-    quadratic federations give each client its own. The global objective is
-    the weight-p mixture of the client objectives.
+    Data-driven problems share one task across clients; synthetic
+    quadratic federations give each client its own, all of one dimension.
+    The global objective is the weight-p mixture of the client objectives.
+    The constructor checks everything the stacked view relies on; treat a
+    problem as immutable once built, since the view is built once.
     """
 
     client_tasks: list[Task]
@@ -133,6 +141,9 @@ class FederatedProblem:
     def __post_init__(self):
         if len(self.client_tasks) != len(self.shards) or not self.shards:
             raise StructuralError("need one task per shard, at least one client")
+        check_federation(self.client_tasks, [shard.data for shard in self.shards])
+        if self.test_data is not None:
+            check_federation(self.client_tasks[:1], [self.test_data])
         total = float(self.weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise StructuralError(f"shard weights must sum to 1, got {total!r}")
@@ -149,23 +160,24 @@ class FederatedProblem:
     def weights(self) -> np.ndarray:
         return np.array([shard.weight for shard in self.shards])
 
+    @cached_property
+    def stacked(self) -> StackedFederation:
+        """All clients' rows and parameters in one view, built on first use."""
+        return StackedFederation.build(self.client_tasks, [shard.data for shard in self.shards])
+
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ client_gradients(self.client_tasks, self.shards, x)
+        return self.weights @ client_gradients(self.stacked, x)
 
     def gradient_stats(self, x: np.ndarray) -> tuple[float, float]:
         """(||grad f(x)||^2, weighted client-gradient dissimilarity) in one pass."""
-        grads = client_gradients(self.client_tasks, self.shards, x)
+        grads = client_gradients(self.stacked, x)
         mean, sigma_g = weighted_dissimilarity(grads, self.weights)
         return float(mean @ mean), sigma_g
 
     def train_loss(self, x: np.ndarray) -> float:
-        p = self.weights
-        return float(
-            sum(
-                w * evaluate(t, s.data, x)[0]
-                for w, t, s in zip(p, self.client_tasks, self.shards)
-            )
-        )
+        # a Python sum in client order keeps the bits of the per-client sum
+        losses = client_losses(self.stacked, x)
+        return float(sum(w * loss for w, loss in zip(self.weights, losses)))
 
     def test_metrics(self, x: np.ndarray) -> tuple[float, float]:
         if self.test_data is None:
@@ -235,16 +247,16 @@ def initial_point(cfg: ExperimentConfig) -> np.ndarray:
     return x0
 
 
-def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Drive T rounds and return the full metric log.
 
-    Client slots run one after another on the calling thread, in slot
-    order unless `_execution_order` permutes them (testing hook: the output
-    must not depend on the client-execution order).
+    Each round makes one `run_clients` call, which runs the sampled slots
+    in lockstep on the calling thread.
 
     A non-finite iterate at the start of a round, or a training loss above
     the divergence cap, aborts the loop; the log then ends at the last
-    logged round and the result is marked diverged. The loss is computed,
+    logged round and the result is marked diverged. A final iterate that is
+    not finite marks the run diverged at round T. The loss is computed,
     and so the cap checked, only on evaluated rounds (every `eval_every`-th
     and the last), or on every round when a plateau schedule is in use, so
     a run can take up to `eval_every - 1` more rounds after its loss passed
@@ -257,6 +269,7 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
     slot returned.
     """
     prob = cfg.problem
+    fed = prob.stacked
     root = RngStream(cfg.seed)
     T = cfg.rounds
     p = prob.weights
@@ -302,28 +315,17 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
             iterates.append(state.x.copy())
 
         sampled = sample_round(p, cfg.sampling, root.derive(TAG_SAMPLE, t))
-        local_cfg = replace(cfg.local, gamma=gamma_t)
         broadcast_x = state.x
-        server_cv = None if cv_table is None else cv_table.mean(axis=0)
-
-        def run_slot(slot: int):
-            ci = int(sampled[slot])
-            stream = root.derive(TAG_LOCAL, t, slot, ci)
-            return run_local(
-                prob.client_tasks[ci],
-                prob.shards[ci],
-                broadcast_x,
-                local_cfg,
-                server_cv=server_cv,
-                client_cv=None if cv_table is None else cv_table[ci],
-                rng=stream,
-                record=cfg.record_drift,
-            )
-
-        order = range(len(sampled)) if _execution_order is None else _execution_order
-        results = [None] * len(sampled)
-        for slot in order:
-            results[slot] = run_slot(slot)
+        results = run_clients(
+            fed,
+            sampled,
+            broadcast_x,
+            replace(cfg.local, gamma=gamma_t),
+            [root.derive(TAG_LOCAL, t, slot, int(ci)) for slot, ci in enumerate(sampled)],
+            server_cv=None if cv_table is None else cv_table.mean(axis=0),
+            client_cvs=None if cv_table is None else cv_table[sampled],
+            record=cfg.record_drift,
+        )
 
         if drift is not None:
             for slot, res in enumerate(results):
@@ -331,8 +333,8 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
                 for k, xk in enumerate(res.trajectory):
                     drift[t, k] += w * l2_norm_sq(xk - broadcast_x)
 
-        # Aggregate in ascending (client, slot) order, whatever the
-        # completion order was; this pins the floating-point sum.
+        # Aggregate in ascending (client, slot) order; this pins the
+        # floating-point sum.
         slot_order = sorted(range(len(sampled)), key=lambda s: (int(sampled[s]), s))
         x_tilde, delta = aggregate(state.x, [results[s].x_final for s in slot_order])
 
@@ -359,6 +361,8 @@ def run_experiment(cfg: ExperimentConfig, _execution_order=None) -> ExperimentRe
                 )
             )
 
+    if not diverged and not np.all(np.isfinite(state.x)):
+        diverged, divergence_round = True, T
     if iterates is not None and not diverged:
         iterates.append(state.x.copy())
     return ExperimentResult(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,9 +133,15 @@ class MlpTask:
         h, p, c = self.hidden, self.num_features, self.num_classes
         return h * p + h + c * h + c
 
+    @property
+    def splits(self) -> tuple[int, int, int]:
+        """Where b1, W2 and b2 start in the flat parameter vector."""
+        h, p, c = self.hidden, self.num_features, self.num_classes
+        return h * p, h * p + h, h * p + h + c * h
+
     def unpack(self, x: ParamVector):
         h, p, c = self.hidden, self.num_features, self.num_classes
-        i0, i1, i2 = h * p, h * p + h, h * p + h + c * h
+        i0, i1, i2 = self.splits
         w1 = x[:i0].reshape(h, p)
         b1 = x[i0:i1]
         w2 = x[i1:i2].reshape(c, h)
@@ -152,40 +159,60 @@ def _check_dim(task: Task, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    """Row-wise softmax probabilities and mean cross-entropy loss."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _softmax_parts(logits: np.ndarray):
+    """Max-shifted logits, their exponentials and the row sums, along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expl = np.exp(shifted)
-    total = expl.sum(axis=1, keepdims=True)
-    probs = expl / total
-    rows = np.arange(labels.size)
-    logp = shifted[rows, labels] - np.log(total[:, 0])
-    return probs, float(-np.mean(logp))
+    return shifted, expl, expl.sum(axis=-1, keepdims=True)
 
 
-def _logistic_loss_grad(task: LogisticRegressionTask, feats, labels, x):
-    w = x.reshape(task.num_classes, task.num_features)
-    logits = feats @ w.T
-    probs, loss = _softmax_ce(logits, labels)
-    probs[np.arange(labels.size), labels] -= 1.0
-    grad = (probs.T @ feats) / labels.size
-    return loss, grad.ravel()
+def _label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Log-softmax probability of each row's label, for logits (n, C)."""
+    shifted, _, total = _softmax_parts(logits)
+    return shifted[np.arange(labels.size), labels] - np.log(total[:, 0])
 
 
-def _mlp_loss_grad(task: MlpTask, feats, labels, x):
-    w1, b1, w2, b2 = task.unpack(x)
-    a1 = np.tanh(feats @ w1.T + b1)
-    logits = a1 @ w2.T + b2
-    probs, loss = _softmax_ce(logits, labels)
-    n = labels.size
-    probs[np.arange(n), labels] -= 1.0
-    dlogits = probs / n
-    gw2 = dlogits.T @ a1
-    gb2 = dlogits.sum(axis=0)
+def _softmax_residual(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """softmax(logits) minus the one-hot labels, for logits (..., C) and labels (...)."""
+    _, expl, total = _softmax_parts(logits)
+    return expl / total - (labels[..., None] == np.arange(logits.shape[-1]))
+
+
+# Stacked kernels: slot s of x (S, d) over its rows feats[s] (B, p) with
+# labels[s] (B,). Every product runs per slot in one batched matmul, which
+# gives each slot the bits of the same product taken alone. The mean
+# gradients, without weight decay, are written into out (S, d).
+
+
+def _quadratic_grad(curvature, target, x, out=None):
+    """Quadratic gradient without weight decay; target is the center or an anchor mean."""
+    return np.multiply(curvature, x - target, out=out)
+
+
+def _logistic_grad(task: LogisticRegressionTask, feats, labels, x, out):
+    S, c, p = len(x), task.num_classes, task.num_features
+    w = x.reshape(S, c, p)
+    resid = _softmax_residual(feats @ w.transpose(0, 2, 1), labels)
+    np.matmul(resid.transpose(0, 2, 1), feats, out=out.reshape(S, c, p))
+    out /= labels.shape[1]
+    return out
+
+
+def _mlp_grad(task: MlpTask, feats, labels, x, out):
+    S, h, p, c = len(x), task.hidden, task.num_features, task.num_classes
+    i0, i1, i2 = task.splits
+    w1 = x[:, :i0].reshape(S, h, p)
+    w2 = x[:, i1:i2].reshape(S, c, h)
+    a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + x[:, None, i0:i1])
+    logits = a1 @ w2.transpose(0, 2, 1) + x[:, None, i2:]
+    dlogits = _softmax_residual(logits, labels) / labels.shape[1]
     dz1 = (dlogits @ w2) * (1.0 - a1 * a1)
-    gw1 = dz1.T @ feats
-    gb1 = dz1.sum(axis=0)
-    return loss, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    # each slice of out is a view, so the products land in place
+    np.matmul(dz1.transpose(0, 2, 1), feats, out=out[:, :i0].reshape(S, h, p))
+    np.sum(dz1, axis=1, out=out[:, i0:i1])
+    np.matmul(dlogits.transpose(0, 2, 1), a1, out=out[:, i1:i2].reshape(S, c, h))
+    np.sum(dlogits, axis=1, out=out[:, i2:])
+    return out
 
 
 def _quadratic_sample_losses(task: QuadraticTask, feats, x):
@@ -195,13 +222,14 @@ def _quadratic_sample_losses(task: QuadraticTask, feats, x):
 
 
 def _data_grad(task: Task, feats, labels, x):
-    """Mean gradient over the given rows, without weight decay."""
+    """Mean gradient over the given rows, without weight decay: the one-slot
+    case of the stacked kernels."""
     if isinstance(task, QuadraticTask):
-        return task.curvature * (x - feats.mean(axis=0))
+        return _quadratic_grad(task.curvature, feats.mean(axis=0), x)
     if isinstance(task, LogisticRegressionTask):
-        return _logistic_loss_grad(task, feats, labels, x)[1]
+        return _logistic_grad(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
     if isinstance(task, MlpTask):
-        return _mlp_loss_grad(task, feats, labels, x)[1]
+        return _mlp_grad(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
     raise StructuralError(f"unknown task kind {task!r}")
 
 
@@ -213,7 +241,7 @@ def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVect
     """
     x = _check_dim(task, x)
     if isinstance(task, QuadraticTask):
-        base = task.curvature * (x - task.center)
+        base = _quadratic_grad(task.curvature, task.center, x)
     else:
         if data is None:
             raise StructuralError(f"{task.kind} gradient needs a dataset")
@@ -255,9 +283,189 @@ def evaluate(task: Task, data: Dataset, x: ParamVector) -> tuple[float, float]:
     else:
         w1, b1, w2, b2 = task.unpack(x)
         logits = np.tanh(data.features @ w1.T + b1) @ w2.T + b2
-    _, loss = _softmax_ce(logits, data.labels)
+    loss = float(-np.mean(_label_log_probs(logits, data.labels)))
     accuracy = float(np.mean(np.argmax(logits, axis=1) == data.labels))
     return loss, accuracy
+
+
+# ---------------------------------------------------------------------------
+# One stacked federation
+
+
+def check_federation(tasks: list[Task], datasets: list[Dataset]) -> None:
+    """Raise StructuralError unless the clients can share one stacked view.
+
+    All tasks must be of one kind. Data-driven kinds share one task whose
+    feature width and label range every dataset fits; quadratics share one
+    dimension, which is also the width of their anchor rows.
+    """
+    if not tasks or len(tasks) != len(datasets):
+        raise StructuralError("need one dataset per task, at least one client")
+    kinds = {task.kind for task in tasks}
+    if len(kinds) != 1:
+        raise StructuralError(f"clients mix task kinds {sorted(kinds)}")
+    first = tasks[0]
+    if isinstance(first, QuadraticTask):
+        if any(task.dim != first.dim for task in tasks):
+            raise StructuralError("quadratic clients must share one dimension")
+        width, classes = first.dim, None
+    else:
+        if any(task != first for task in tasks):
+            raise StructuralError(f"{first.kind} clients must share one task")
+        width, classes = first.num_features, first.num_classes
+    for i, data in enumerate(datasets):
+        if data.features.shape[1] != width:
+            raise StructuralError(
+                f"client {i} has {data.features.shape[1]} features, its task needs {width}"
+            )
+        if classes is not None and data.labels.max() >= classes:
+            raise StructuralError(f"client {i} has labels outside [0, {classes})")
+
+
+@dataclass(frozen=True, eq=False)
+class StackedFederation:
+    """Every client's rows in one array, in client order, with segment bounds.
+
+    Client i owns rows `bounds[i][0]:bounds[i][1]` of `features` and
+    `labels`. Data-driven kinds share `task`; quadratics carry per-client
+    `curvature` and `center` of shape (N, d). `weight_decay` is per client.
+    """
+
+    task: Task
+    features: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    weight_decay: np.ndarray
+    curvature: np.ndarray | None = None
+    center: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, tasks: list[Task], datasets: list[Dataset]) -> "StackedFederation":
+        check_federation(tasks, datasets)
+        quadratic = isinstance(tasks[0], QuadraticTask)
+        return cls(
+            task=tasks[0],
+            features=np.concatenate([data.features for data in datasets]),
+            labels=np.concatenate([data.labels for data in datasets]),
+            offsets=np.concatenate([[0], np.cumsum([data.n for data in datasets])]),
+            weight_decay=np.array([task.weight_decay for task in tasks], dtype=np.float64),
+            curvature=np.stack([t.curvature for t in tasks]) if quadratic else None,
+            center=np.stack([t.center for t in tasks]) if quadratic else None,
+        )
+
+    @property
+    def N(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def dim(self) -> int:
+        return self.task.dim
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def bounds(self) -> list[tuple[int, int]]:
+        edges = self.offsets.tolist()
+        return list(zip(edges[:-1], edges[1:]))
+
+    def gradients(self, clients, x, rows, out=None) -> np.ndarray:
+        """(S, d) gradients, weight decay included, written into out if given.
+
+        Row s is client `clients[s]`'s mean gradient at `x[s]` over the
+        global rows `rows[s]`; with rows None, over all of its data
+        (analytic for quadratics), which needs equal-sized clients.
+        """
+        out = np.empty(x.shape) if out is None else out
+        if self.curvature is not None:
+            target = self.center[clients] if rows is None else self.features[rows].mean(axis=1)
+            _quadratic_grad(self.curvature[clients], target, x, out=out)
+        else:
+            if rows is None:
+                rows = self.offsets[clients, None] + np.arange(self.sizes[clients[0]])
+            kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
+            kernel(self.task, self.features[rows], self.labels[rows], x, out)
+        out += self.weight_decay[clients, None] * x
+        return out
+
+
+# The passes below give, client by client, the same bits as `evaluate` and
+# `full_gradient`. Elementwise and row-wise steps run once over all rows;
+# every matrix product and every per-client reduction runs on one client's
+# contiguous segment, because a BLAS product over all rows at once may
+# round a row differently from the same product over its client's rows.
+
+
+def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds) -> np.ndarray:
+    """a @ b, computed one row segment at a time."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo, hi in bounds:
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
+def _forward(fed: StackedFederation, x: np.ndarray):
+    """Logits of every row, and the MLP's hidden activations (None otherwise)."""
+    task, bounds = fed.task, fed.bounds
+    if isinstance(task, LogisticRegressionTask):
+        w = x.reshape(task.num_classes, task.num_features)
+        return _segment_matmul(fed.features, w.T, bounds), None
+    w1, b1, w2, b2 = task.unpack(x)
+    a1 = np.tanh(_segment_matmul(fed.features, w1.T, bounds) + b1)
+    return _segment_matmul(a1, w2.T, bounds) + b2, a1
+
+
+def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
+    """(N,) mean loss of every client at x; entry i equals evaluate(task_i, data_i, x)[0]."""
+    x = _check_dim(fed.task, x)
+    bounds = fed.bounds
+    if fed.curvature is not None:
+        dx = x - fed.features
+        dz = fed.features - np.repeat(fed.center, fed.sizes, axis=0)
+        dx, dz = dx * dx, dz * dz
+        rows = np.empty((2, fed.features.shape[0]))
+        for i, (lo, hi) in enumerate(bounds):
+            np.matmul(dx[lo:hi], fed.curvature[i], out=rows[0, lo:hi])
+            np.matmul(dz[lo:hi], fed.curvature[i], out=rows[1, lo:hi])
+        sample = 0.5 * (rows[0] - rows[1])
+    else:
+        # negating before the sum is exact: rounding is symmetric in sign
+        sample = -_label_log_probs(_forward(fed, x)[0], fed.labels)
+    # sum / n is how np.mean divides, so each entry keeps evaluate's bits
+    return np.array([sample[lo:hi].sum() / (hi - lo) for lo, hi in bounds])
+
+
+def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
+    """(N, d) stack of the clients' full gradients at x; row i equals
+    full_gradient(task_i, data_i, x)."""
+    x = _check_dim(fed.task, x)
+    N = fed.N
+    if fed.curvature is not None:
+        return fed.gradients(np.arange(N), np.broadcast_to(x, (N, x.size)), None)
+    task, bounds, feats = fed.task, fed.bounds, fed.features
+    logits, a1 = _forward(fed, x)
+    resid = _softmax_residual(logits, fed.labels)
+    sizes = fed.sizes
+    grads = np.empty((N, x.size))
+    if a1 is None:
+        for i, (lo, hi) in enumerate(bounds):
+            np.matmul(resid[lo:hi].T, feats[lo:hi], out=grads[i].reshape(task.num_classes, -1))
+        grads /= sizes[:, None]
+    else:
+        h, p, c = task.hidden, task.num_features, task.num_classes
+        i0, i1, i2 = task.splits
+        w2 = task.unpack(x)[2]
+        dlogits = resid / np.repeat(sizes, sizes)[:, None]
+        dz1 = _segment_matmul(dlogits, w2, bounds) * (1.0 - a1 * a1)
+        for i, (lo, hi) in enumerate(bounds):
+            row = grads[i]
+            np.matmul(dz1[lo:hi].T, feats[lo:hi], out=row[:i0].reshape(h, p))
+            np.sum(dz1[lo:hi], axis=0, out=row[i0:i1])
+            np.matmul(dlogits[lo:hi].T, a1[lo:hi], out=row[i1:i2].reshape(c, h))
+            np.sum(dlogits[lo:hi], axis=0, out=row[i2:])
+    grads += fed.weight_decay[:, None] * x
+    return grads
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

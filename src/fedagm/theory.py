@@ -15,12 +15,14 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .numerics import RngStream, as_generator
-from .orchestrator import client_gradients, weighted_dissimilarity
+from .orchestrator import weighted_dissimilarity
 from .sampling import WEIGHT_SUM_TOL
 from .server import Calibration
 from .tasks import (
     QuadraticTask,
+    StackedFederation,
     Task,
+    client_gradients,
     quadratic_sigma_sq,
     quadratic_smoothness,
     stochastic_gradient,
@@ -169,9 +171,10 @@ def empirical_sigma_g(
         raise ParameterError(f"unknown mean semantics {mean!r}")
     p = np.array([shard.weight for shard in shards])
     w = p if mean == "weighted" else np.full(p.size, 1.0 / p.size)
+    fed = StackedFederation.build(tasks, [shard.data for shard in shards])
     worst = 0.0
     for x in x_points:
-        _, value = weighted_dissimilarity(client_gradients(tasks, shards, x), p, w)
+        _, value = weighted_dissimilarity(client_gradients(fed, x), p, w)
         worst = max(worst, value)
     return worst
 
@@ -201,9 +204,10 @@ def probe_gradient_bounds(
     """Per-client max gradient norm over the probe points (an empirical G_i)."""
     if not x_points:
         raise ParameterError("need at least one probe point")
+    fed = StackedFederation.build(tasks, [shard.data for shard in shards])
     out = np.zeros(len(tasks))
     for x in x_points:
-        _raise_to_norms(out, client_gradients(tasks, shards, x))
+        _raise_to_norms(out, client_gradients(fed, x))
     return out
 
 
@@ -389,7 +393,7 @@ def estimate_problem_constants(
     G_i = np.zeros(len(tasks))
     sigma_g_sq = 0.0
     for j, x in enumerate(x_points):
-        grads = client_gradients(tasks, shards, x)
+        grads = client_gradients(problem.stacked, x)
         _raise_to_norms(G_i, grads)
         mean, dissimilarity = weighted_dissimilarity(grads, p)
         sigma_g_sq = max(sigma_g_sq, dissimilarity)

@@ -16,6 +16,12 @@ from fedagm.errors import ConfigError
 from fedagm.serialize import METRICS_HEADER, fmt17, load_model
 
 
+# The blow-up tests overflow on purpose.
+quiet_overflow = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+
+
 def quad_config(**over):
     obj = {
         "seed": 3,
@@ -324,6 +330,47 @@ class TestRunCommand:
         for key in ("constants", "V", "mu_lower", "mu_upper"):
             assert key not in report
         assert f"diverged at round {report['divergence_round']}" in report["notes"]
+
+
+    @quiet_overflow
+    def test_blow_up_in_the_last_round_exits_as_diverged(self, tmp_path, capsys):
+        # One round whose step overflows: the log row of round 0 is finite,
+        # the final iterate is not, so the run diverged at round T = 1.
+        obj = quad_config(rounds=1, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(num_clients=8, dim=4)
+        obj["local"].update(steps=3, gamma=1e120)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_DIVERGED
+        assert "diverged at round 1; last logged round is 0" in capsys.readouterr().err
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["diverged"] is True and report["divergence_round"] == 1
+        assert "constants" not in report and "V" not in report
+        assert report["notes"].startswith("run diverged at round 1")
+
+    @quiet_overflow
+    def test_overflowing_stepsize_exits_as_diverged(self, tmp_path):
+        obj = quad_config(rounds=1, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(num_clients=8, dim=4)
+        obj["local"].update(steps=3, gamma=1e200)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_DIVERGED
+        report = json.loads((out / "bound_report.json").read_text())
+        assert "constants" not in report and "notes" in report
+
+    @quiet_overflow
+    def test_overflowing_bound_analysis_becomes_a_note(self, tmp_path):
+        # Clients whose anchors all sit at 0 have zero gradients at x0 = 0,
+        # so the run stays finite while (K gamma)^2 overflows a float.
+        obj = quad_config(rounds=2, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(heterogeneity=0.0, anchor_noise=0.0)
+        obj["local"]["gamma"] = 1e200
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_OK
+        assert np.all(load_model(str(out / "model.bin")) == 0.0)
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["diverged"] is False
+        assert report["notes"].startswith("bound analysis unavailable")
+        assert "constants" not in report
 
 
 class TestCompareCommand:

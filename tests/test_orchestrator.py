@@ -11,6 +11,8 @@ from fedagm import (
     ExperimentConfig,
     FederatedProblem,
     LocalConfig,
+    LogisticRegressionTask,
+    MlpTask,
     ParameterError,
     PlateauTracker,
     QuadraticTask,
@@ -21,15 +23,22 @@ from fedagm import (
     StructuralError,
     apply_schedule,
     init_params,
+    make_blobs_dataset,
     make_quadratic_client_data,
     make_synthetic_federated_quadratic,
     named_optimizer,
+    run_clients,
     run_experiment,
-    run_local,
     stochastic_gradient,
 )
 from fedagm.orchestrator import TAG_INIT, TAG_LOCAL
 from fedagm.serialize import metrics_to_csv
+
+
+# The blow-up tests overflow on purpose.
+quiet_overflow = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
 
 
 def quadratic_problem(N=3, d=4, het=1.0, n=12, seed=0, noise=1.0):
@@ -122,14 +131,6 @@ class TestDeterminism:
         assert metrics_to_csv(a.metrics) == metrics_to_csv(b.metrics)
         np.testing.assert_array_equal(a.final_x, b.final_x)
 
-    def test_execution_order_does_not_change_the_log(self):
-        problem = quadratic_problem(N=5)
-        cfg = config(problem, sampling=SamplingSpec(S=4), rounds=8)
-        base = metrics_to_csv(run_experiment(cfg).metrics)
-        for order in ([3, 1, 0, 2], [2, 3, 0, 1]):
-            permuted = metrics_to_csv(run_experiment(cfg, _execution_order=order).metrics)
-            assert permuted == base
-
     def test_different_seeds_differ(self):
         problem = quadratic_problem()
         a = run_experiment(config(problem, seed=1))
@@ -139,18 +140,20 @@ class TestDeterminism:
 
 class TestMessageCounts:
     def test_one_local_run_per_slot_per_round(self, monkeypatch):
+        # one engine call per round, carrying every slot of the round
         problem = quadratic_problem(N=4)
         calls = []
-        real = orch.run_local
+        real = orch.run_clients
 
-        def counting(*args, **kw):
-            calls.append(1)
-            return real(*args, **kw)
+        def counting(fed, clients, *args, **kw):
+            out = real(fed, clients, *args, **kw)
+            calls.append((len(clients), len(out)))
+            return out
 
-        monkeypatch.setattr(orch, "run_local", counting)
+        monkeypatch.setattr(orch, "run_clients", counting)
         cfg = config(problem, sampling=SamplingSpec(S=3), rounds=5)
         run_experiment(cfg)
-        assert len(calls) == 5 * 3
+        assert calls == [(3, 3)] * 5
 
     def test_one_aggregate_per_round(self, monkeypatch):
         problem = quadratic_problem()
@@ -275,23 +278,22 @@ class TestScaffoldIntegration:
         )
         calls = []
 
-        def recording_run_local(*args, **kwargs):
-            out = run_local(*args, **kwargs)
-            calls.append((kwargs["server_cv"].copy(), out.new_control_variate.copy()))
+        def recording_run_clients(fed, clients, *args, **kwargs):
+            out = run_clients(fed, clients, *args, **kwargs)
+            rows = [res.new_control_variate.copy() for res in out]
+            calls.append((list(clients), kwargs["server_cv"].copy(), rows))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orch, "run_local", recording_run_local)
+            mp.setattr(orch, "run_clients", recording_run_clients)
             result = run_experiment(cfg)
 
-        assert len(result.metrics) == cfg.rounds
+        assert len(result.metrics) == cfg.rounds == len(calls)
         table = np.zeros((N, problem.dim))
-        calls = iter(calls)
-        for row in result.metrics:
-            round_calls = [next(calls) for _ in row.clients]
-            for server_cv, _ in round_calls:
-                np.testing.assert_allclose(server_cv, table.mean(axis=0), rtol=0, atol=1e-12)
-            for ci, (_, new_cv) in zip(row.clients, round_calls):
+        for row, (clients, server_cv, rows) in zip(result.metrics, calls):
+            assert clients == row.clients and len(rows) == S
+            np.testing.assert_allclose(server_cv, table.mean(axis=0), rtol=0, atol=1e-12)
+            for ci, new_cv in zip(clients, rows):
                 table[ci] = new_cv
         np.testing.assert_array_equal(result.control_variates, table)
 
@@ -392,6 +394,20 @@ class TestDivergence:
         assert result.divergence_round < 200
         assert len(result.metrics) < 200
 
+    @quiet_overflow
+    def test_blow_up_in_the_last_round_is_diverged(self):
+        problem = quadratic_problem(N=4)
+        cfg = config(
+            problem,
+            local=LocalConfig(K=3, gamma=1e120, batch_size=6),
+            server=named_optimizer("FedAvg", eta=1.0),
+            rounds=1,
+        )
+        result = run_experiment(cfg)
+        assert not np.all(np.isfinite(result.final_x))
+        assert result.diverged and result.divergence_round == 1
+        assert [row.t for row in result.metrics] == [0]
+
 
 class TestProblemValidation:
     def test_weight_sum_enforced(self):
@@ -405,6 +421,55 @@ class TestProblemValidation:
         data = make_quadratic_client_data(task, 4, 1.0, RngStream(0))
         with pytest.raises(StructuralError):
             FederatedProblem([task, task], [ClientShard(data, 1.0)])
+
+    def test_rejects_data_clients_with_different_tasks(self):
+        data = make_blobs_dataset(20, 3, 4, RngStream(0))
+        tasks = [LogisticRegressionTask(4, 3), LogisticRegressionTask(4, 3, weight_decay=0.1)]
+        with pytest.raises(StructuralError, match="share one task"):
+            FederatedProblem(tasks, [ClientShard(data, 0.5), ClientShard(data, 0.5)])
+
+    def test_rejects_shards_whose_width_does_not_fit_the_task(self):
+        data = make_blobs_dataset(20, 3, 5, RngStream(0))
+        with pytest.raises(StructuralError, match="features"):
+            FederatedProblem([LogisticRegressionTask(4, 3)], [ClientShard(data, 1.0)])
+        task = QuadraticTask(np.ones(2), np.zeros(2))
+        wide = QuadraticTask(np.ones(3), np.zeros(3))
+        anchors = make_quadratic_client_data(wide, 4, 1.0, RngStream(0))
+        with pytest.raises(StructuralError, match="features"):
+            FederatedProblem([task], [ClientShard(anchors, 1.0)])
+
+    def test_rejects_labels_outside_the_task(self):
+        data = make_blobs_dataset(40, 5, 4, RngStream(0))
+        with pytest.raises(StructuralError, match="labels"):
+            FederatedProblem([MlpTask(4, 3, 3)], [ClientShard(data, 1.0)])
+
+    def test_rejects_a_test_set_that_does_not_fit_the_task(self):
+        data = make_blobs_dataset(20, 3, 4, RngStream(0))
+        with pytest.raises(StructuralError, match="features"):
+            FederatedProblem(
+                [LogisticRegressionTask(4, 3)],
+                [ClientShard(data, 1.0)],
+                test_data=make_blobs_dataset(20, 3, 6, RngStream(1)),
+            )
+
+    def test_rejects_mixed_task_kinds(self):
+        quad = QuadraticTask(np.ones(4), np.zeros(4))
+        anchors = make_quadratic_client_data(quad, 6, 1.0, RngStream(0))
+        blobs = make_blobs_dataset(20, 3, 4, RngStream(0))
+        with pytest.raises(StructuralError, match="mix task kinds"):
+            FederatedProblem(
+                [quad, LogisticRegressionTask(4, 3)],
+                [ClientShard(anchors, 0.5), ClientShard(blobs, 0.5)],
+            )
+
+    def test_rejects_quadratics_of_different_dimension(self):
+        tasks = [QuadraticTask(np.ones(2), np.zeros(2)), QuadraticTask(np.ones(3), np.zeros(3))]
+        shards = [
+            ClientShard(make_quadratic_client_data(t, 4, 1.0, RngStream(i)), 0.5)
+            for i, t in enumerate(tasks)
+        ]
+        with pytest.raises(StructuralError, match="one dimension"):
+            FederatedProblem(tasks, shards)
 
     def test_init_x_shape_checked(self):
         problem = quadratic_problem()

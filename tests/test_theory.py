@@ -31,7 +31,8 @@ from fedagm import (
     verify_drift_bound,
     verify_lemma_second_moment,
 )
-from fedagm.orchestrator import FederatedProblem, client_gradients
+from fedagm.orchestrator import FederatedProblem
+from fedagm.tasks import client_gradients
 from fedagm.tasks import full_gradient, stochastic_gradient
 
 
@@ -417,7 +418,7 @@ class TestClientGradientStack:
     def test_rows_are_the_client_full_gradients(self):
         problem = logistic_problem()
         x = self.probes(problem)[1]
-        grads = client_gradients(problem.client_tasks, problem.shards, x)
+        grads = client_gradients(problem.stacked, x)
         assert grads.shape == (problem.N, problem.dim)
         for i, (task, shard) in enumerate(zip(problem.client_tasks, problem.shards)):
             np.testing.assert_array_equal(grads[i], full_gradient(task, shard.data, x))
@@ -425,7 +426,7 @@ class TestClientGradientStack:
     def test_global_gradient_is_the_weighted_stack(self):
         problem = logistic_problem()
         x = self.probes(problem)[2]
-        stack = client_gradients(problem.client_tasks, problem.shards, x)
+        stack = client_gradients(problem.stacked, x)
         np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
 
     def test_streamed_constants_equal_the_probe_functions(self):
