@@ -9,7 +9,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .local import LocalConfig, LocalResult, run_clients, run_local
+from .local import LocalConfig, LocalResult, draw_minibatches, run_clients, run_local
 from .numerics import (
     ParamVector,
     RngStream,

@@ -12,11 +12,20 @@ scaffold   x <- x - gamma * (g - c_i + c), drift-corrected by the client
 `run_clients` runs the S sampled slots of a round in lockstep: their
 iterates form one (S, d) array, and each step takes every slot's minibatch
 gradient in one stacked kernel call over rows gathered from the stacked
-federation. Each slot still draws its minibatches from its own generator,
+federation. Each slot still draws its minibatches from its own stream,
 exactly as a lone client would, so a slot's bits do not depend on which
 other slots share its step. Slots whose batch size or step count differ
 (epoch_mode, or clients with fewer rows than the batch size) run as
 separate lockstep groups. `run_local` is the one-slot call.
+
+`draw_minibatches` takes a group's minibatches for all of its steps before
+the step loop, in one vectorised pass over each slot's raw PCG64 words. The
+indices are those of `steps` sequential `Generator.choice(n, batch,
+replace=False)` calls on the slot's generator, bit for bit: for n <= 10000
+NumPy's `choice` is Floyd's sampling followed by a Fisher-Yates shuffle,
+each index a Lemire multiply-shift bounded draw from the generator's 32-bit
+words (low half of each 64-bit output first). `tests/test_sampler.py` pins
+the equality.
 
 All variants leave x_start, the data and the variates untouched; the round
 loop owns the SCAFFOLD state.
@@ -78,12 +87,104 @@ class LocalResult:
     trajectory: list = field(default_factory=list)
 
 
+# ---------------------------------------------------------------------------
+# Minibatch draws: Generator.choice(n, batch, replace=False), vectorised
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+def words32(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` 32-bit words of a fresh PCG64 generator, as uint64,
+    in the order its `next_uint32` hands them out: low half of each 64-bit
+    output, then its high half."""
+    raw = gen.bit_generator.random_raw((count + 1) // 2)
+    return raw.astype("<u8").view("<u4")[:count].astype(np.uint64)
+
+
+def _bounded(words: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's multiply-shift draws in [0, bound) and where a word falls in
+    the rejection zone (NumPy would then discard it and draw another)."""
+    bound = bound.astype(np.uint64)
+    m = words * bound
+    return (m >> np.uint64(32)).astype(np.int64), (m & _LOW32) < _TWO32 % bound
+
+
+def choice_from_words(
+    words: np.ndarray, sizes: np.ndarray, batch: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lane l's `choice(sizes[l], batch, replace=False)` from its 2*batch - 1 words.
+
+    `words` is (lanes, 2*batch - 1) from `words32`: Floyd's sampling takes
+    the first `batch` words, the Fisher-Yates shuffle the other batch - 1.
+    Returns (lanes, batch) row-major int64 indices and a (lanes,) flag that
+    is False where they are not `choice`'s: a word was rejected, or `choice`
+    would take its tail-shuffle branch (sizes above 10000, batch above
+    size // 50). Every size must exceed `batch`.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    lanes = sizes.size
+    # positions run down the rows: reductions over earlier positions are
+    # then reductions over the outer axis, which NumPy vectorises
+    words = words.T
+    # Floyd: the k-th word picks t in [0, j] with j = size - batch + k;
+    # t joins the sample unless already in it, in which case j does
+    top = np.arange(batch)[:, None] + (sizes - batch)
+    out, rejected = _bounded(words[:batch], top + 1)
+    for k in range(1, batch):
+        np.copyto(out[k], top[k], where=(out[:k] == out[k]).any(axis=0))
+    # Fisher-Yates: for i = batch-1 .. 1, swap entry i with entry j in [0, i]
+    swaps, shuffle_rejected = _bounded(words[batch:], np.arange(batch, 1, -1)[:, None])
+    swaps *= lanes
+    swaps += np.arange(lanes)  # flat offsets of entry j in each lane
+    flat = out.reshape(-1)
+    for col, i in enumerate(range(batch - 1, 0, -1)):
+        held = flat[swaps[col]]
+        flat[swaps[col]] = out[i]
+        out[i] = held
+    tail_shuffle = (sizes > 10000) & (batch > sizes // 50)
+    exact = ~(rejected.any(axis=0) | shuffle_rejected.any(axis=0) | tail_shuffle)
+    return np.ascontiguousarray(out.T), exact
+
+
+def draw_minibatches(streams: list[RngStream], sizes, batch: int, steps: int) -> np.ndarray:
+    """(S, steps, batch) int64: row [s, k] is the k-th of `steps` sequential
+    `streams[s].generator().choice(sizes[s], size=batch, replace=False)`
+    calls, bit for bit.
+
+    Each slot reads steps * (2*batch - 1) words with one `random_raw` call,
+    and all S * steps draws are taken at once by `choice_from_words`. A slot
+    with a lane that is not `choice`'s (a word is rejected with probability
+    below size / 2**32) is redrawn with `choice` from a fresh generator of
+    its stream. Every size must exceed `batch`.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    S = len(streams)
+    if sizes.shape != (S,):
+        raise StructuralError(f"need one size per stream, got {sizes.shape} for {S} streams")
+    if batch < 1 or steps < 1 or np.any(sizes <= batch):
+        raise ParameterError(f"need batch >= 1, steps >= 1 and every size above batch={batch}")
+    per_draw = 2 * batch - 1
+    words = np.empty((S, steps * per_draw), dtype=np.uint64)
+    for s, stream in enumerate(streams):
+        words[s] = words32(as_generator(stream), steps * per_draw)
+    draws, exact = choice_from_words(
+        words.reshape(S * steps, per_draw), np.repeat(sizes, steps), batch
+    )
+    draws = draws.reshape(S, steps, batch)
+    for s in np.flatnonzero(~exact.reshape(S, steps).all(axis=1)):
+        gen = streams[s].generator()
+        n = int(sizes[s])
+        draws[s] = [gen.choice(n, size=batch, replace=False) for _ in range(steps)]
+    return draws
+
+
 def run_clients(
     fed: StackedFederation,
     clients,
     x_start: ParamVector,
     cfg: LocalConfig,
-    rngs: list,
+    rngs: list[RngStream],
     server_cv: ParamVector | None = None,
     client_cvs: np.ndarray | None = None,
     record: bool = False,
@@ -91,8 +192,9 @@ def run_clients(
     """Run slot s's inner loop for client `clients[s]` from x_start, all
     slots in lockstep; returns one LocalResult per slot, in slot order.
 
-    `rngs[s]` is slot s's stream (restarted) or live generator (continued).
-    With record=True each result keeps its iterate trajectory [x_0 .. x_K].
+    Slot s draws its minibatches from the start of stream `rngs[s]`, all of
+    a group's draws at once (`draw_minibatches`). With record=True each
+    result keeps its iterate trajectory [x_0 .. x_K].
     The scaffold variant needs the server variate; `client_cvs` holds one
     client variate per slot and defaults to zeros.
     """
@@ -111,7 +213,6 @@ def run_clients(
         if server_cv.shape != (d,) or client_cvs.shape != (S, d):
             raise StructuralError("control variates have the wrong dimension")
 
-    gens = [as_generator(r) for r in rngs]
     sizes = fed.sizes[clients].tolist()
     groups: dict[tuple[int, int, bool], list[int]] = {}
     for s, n in enumerate(sizes):
@@ -122,7 +223,6 @@ def run_clients(
     results: list[LocalResult | None] = [None] * S
     for (batch, steps, full), slots in groups.items():
         ci = clients[slots]
-        starts = fed.offsets[ci, None]
         if cfg.variant == "scaffold":
             group_cvs = client_cvs[slots]
         # x and direction are updated in place: each op gives the bits of
@@ -130,12 +230,11 @@ def run_clients(
         x = np.repeat(x_start[None], len(slots), axis=0)
         direction = np.empty_like(x)
         trajectory = [x.copy()] if record else []
-        for _ in range(steps):
-            rows = None
-            if not full:
-                draws = [gens[s].choice(sizes[s], size=batch, replace=False) for s in slots]
-                rows = starts + np.stack(draws)
-            fed.gradients(ci, x, rows, out=direction)
+        if not full:
+            draws = draw_minibatches([rngs[s] for s in slots], fed.sizes[ci], batch, steps)
+            rows = fed.offsets[ci, None, None] + draws
+        for k in range(steps):
+            fed.gradients(ci, x, None if full else rows[:, k], out=direction)
             if cfg.variant == "prox":
                 direction += cfg.prox_mu * (x - x_start)
             elif cfg.variant == "scaffold":
@@ -166,7 +265,7 @@ def run_local(
     cfg: LocalConfig,
     server_cv: ParamVector | None = None,
     client_cv: ParamVector | None = None,
-    rng: RngStream | np.random.Generator = RngStream(0),
+    rng: RngStream = RngStream(0),
     record: bool = False,
 ) -> LocalResult:
     """Take x_start through one client's inner loop: `run_clients` with one slot."""

@@ -378,6 +378,10 @@ class StackedFederation:
         (analytic for quadratics), which needs equal-sized clients.
         """
         out = np.empty(x.shape) if out is None else out
+        if rows is not None:
+            # a gather keeps the index array's memory order, and the products
+            # over column-major rows can round differently from row-major ones
+            rows = np.ascontiguousarray(rows)
         if self.curvature is not None:
             target = self.center[clients] if rows is None else self.features[rows].mean(axis=1)
             _quadratic_grad(self.curvature[clients], target, x, out=out)

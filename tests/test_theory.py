@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedagm import (
     Calibration,
@@ -34,6 +36,7 @@ from fedagm import (
 from fedagm.orchestrator import FederatedProblem
 from fedagm.tasks import client_gradients
 from fedagm.tasks import full_gradient, stochastic_gradient
+from fedagm.theory import _minibatch_noise
 
 
 def constants(**kw):
@@ -457,6 +460,73 @@ class TestClientGradientStack:
             ]
             sigma_sq.append(float(np.mean(draws)))
         np.testing.assert_array_equal(c.sigma_i, np.sqrt(sigma_sq))
+
+
+def noise_federation(kind, sizes, seed):
+    """A FederatedProblem of one task kind with shards of the given sizes."""
+    from fedagm import Dataset, LogisticRegressionTask, MlpTask
+
+    gen = np.random.default_rng(seed)
+    if kind == "quadratic":
+        tasks = [QuadraticTask(gen.uniform(0.5, 2.0, 3), gen.normal(size=3)) for _ in sizes]
+        data = [
+            make_quadratic_client_data(t, n, 1.0, RngStream(seed + i))
+            for i, (t, n) in enumerate(zip(tasks, sizes))
+        ]
+    else:
+        if kind == "logistic":
+            task = LogisticRegressionTask(3, 3, weight_decay=0.01)
+        else:
+            task = MlpTask(3, 4, 3, weight_decay=0.01)
+        tasks = [task] * len(sizes)
+        data = [Dataset(gen.normal(size=(n, 3)), gen.integers(0, 3, n), 3) for n in sizes]
+    p = np.full(len(sizes), 1.0 / len(sizes))
+    return FederatedProblem(tasks, [ClientShard(d, w) for d, w in zip(data, p)])
+
+
+class TestMinibatchNoise:
+    """The stacked noise probe keeps the per-client stochastic_gradient loop's bits."""
+
+    @staticmethod
+    def reference(problem, x, exact, batch_size, rng, draws):
+        gen = rng.generator()
+        sigma_sq = np.zeros(problem.N)
+        for i, (t, s) in enumerate(zip(problem.client_tasks, problem.shards)):
+            b = min(batch_size, s.data.n)
+            noise = [
+                np.sum((stochastic_gradient(t, s.data, x, b, gen).grad - exact[i]) ** 2)
+                for _ in range(draws)
+            ]
+            sigma_sq[i] = float(np.mean(noise))
+        return np.sqrt(sigma_sq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "logistic", "mlp"]),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        batch_size=st.integers(1, 12),
+        draws=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_client_loop(self, kind, sizes, batch_size, draws, seed):
+        problem = noise_federation(kind, sizes, seed % 1000)
+        x = 0.3 * np.random.default_rng(seed).normal(size=problem.dim)
+        exact = client_gradients(problem.stacked, x)
+        rng = RngStream(seed, 17)
+        got = _minibatch_noise(problem.stacked, x, exact, batch_size, rng, draws)
+        want = self.reference(problem, x, exact, batch_size, rng, draws)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_default_draws_with_full_batch_clients(self, kind):
+        # clients 1 and 3 have no more rows than the batch: full gradients, no words
+        problem = noise_federation(kind, [40, 6, 23, 8, 9], 3)
+        x = 0.3 * np.random.default_rng(4).normal(size=problem.dim)
+        exact = client_gradients(problem.stacked, x)
+        got = _minibatch_noise(problem.stacked, x, exact, 8, RngStream(5), 32)
+        want = self.reference(problem, x, exact, 8, RngStream(5), 32)
+        np.testing.assert_array_equal(got, want)
+        assert got[1] == got[3] == 0.0
 
 
 class TestConstantsValidation:
