@@ -210,15 +210,27 @@ def cmd_compare(args) -> int:
 def cmd_partition_report(args) -> int:
     try:
         obj = load_json_file(args.config)
-        dataset_sec = obj.get("dataset") or obj.get("task", {}).get("dataset")
-        if dataset_sec is None:
-            raise ConfigError("config: needs a 'dataset' section (or task.dataset)")
+        if not isinstance(obj, dict):
+            raise ConfigError("config: expected a JSON object")
+        task_sec = obj.get("task")
+        dataset_sec = obj.get("dataset") or (isinstance(task_sec, dict) and task_sec.get("dataset"))
+        if not isinstance(dataset_sec, dict):
+            raise ConfigError("config: needs a 'dataset' object (or task.dataset)")
         part_sec = obj.get("partition")
-        if part_sec is None:
-            raise ConfigError("config: needs a 'partition' section")
+        if not isinstance(part_sec, dict):
+            raise ConfigError("config: needs a 'partition' object")
+        # JSON numbers arrive as int or float; `type` also keeps out bools
         seeds = obj.get("seeds", [0])
+        if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
+            raise ConfigError(f"config.seeds: expected a nonempty list of integers, got {seeds!r}")
         alpha_grid = obj.get("alpha_grid")
+        if alpha_grid is not None and (
+            not isinstance(alpha_grid, list) or any(type(a) not in (int, float) for a in alpha_grid)
+        ):
+            raise ConfigError(f"config.alpha_grid: expected a list of numbers, got {alpha_grid!r}")
         out = obj.get("out", "partition-out")
+        if not isinstance(out, str):
+            raise ConfigError(f"config.out: expected a string, got {out!r}")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         spec = parse_partition(part_sec, "partition")
         alphas = [spec.alpha] if alpha_grid is None else [float(a) for a in alpha_grid]

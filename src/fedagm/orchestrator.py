@@ -22,7 +22,7 @@ from .errors import ParameterError, StructuralError
 from .local import LocalConfig, run_clients, run_local  # noqa: F401
 from .numerics import RngStream, l2_norm_sq
 from .partition import ClientShard
-from .sampling import WEIGHT_SUM_TOL, SamplingSpec, sample_round
+from .sampling import SamplingSpec, check_weights, sample_round
 from .serialize import RoundMetrics
 from .server import (
     ServerOptimizer,
@@ -139,14 +139,10 @@ class FederatedProblem:
     test_data: Dataset | None = None
 
     def __post_init__(self):
-        if len(self.client_tasks) != len(self.shards) or not self.shards:
-            raise StructuralError("need one task per shard, at least one client")
         check_federation(self.client_tasks, [shard.data for shard in self.shards])
         if self.test_data is not None:
             check_federation(self.client_tasks[:1], [self.test_data])
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise StructuralError(f"shard weights must sum to 1, got {total!r}")
+        check_weights(self.weights)
 
     @property
     def N(self) -> int:

@@ -20,6 +20,19 @@ MODES = ("weighted", "full")
 WEIGHT_SUM_TOL = 1e-9
 
 
+def check_weights(p) -> np.ndarray:
+    """p as a float64 vector of client weights: finite and nonnegative
+    (else ParameterError), nonempty and summing to 1 (else StructuralError)."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size < 1:
+        raise StructuralError("client weights must be a nonempty vector")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ParameterError(f"client weights must be finite and nonnegative, got {p!r}")
+    if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise StructuralError(f"client weights must sum to 1, got {p.sum()!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class SamplingSpec:
     """S participants per round, drawn by weight or all present."""
@@ -42,13 +55,7 @@ def sample_round(
     The returned array may contain repeats; the round average divides by S
     regardless, which is what keeps the weighted average unbiased.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise StructuralError("weights must be a nonempty vector")
-    if np.any(p < 0):
-        raise ParameterError("negative client weight")
-    if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise StructuralError(f"weights must sum to 1, got {p.sum()!r}")
+    p = check_weights(p)
     if spec.mode == "full":
         if spec.S != p.size:
             raise StructuralError(f"full mode needs S = N = {p.size}, got S = {spec.S}")

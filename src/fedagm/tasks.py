@@ -159,29 +159,30 @@ def _check_dim(task: Task, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _softmax_parts(logits: np.ndarray):
-    """Max-shifted logits, their exponentials and the row sums, along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expl = np.exp(shifted)
-    return shifted, expl, expl.sum(axis=-1, keepdims=True)
-
-
 def _label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Log-softmax probability of each row's label, for logits (n, C)."""
-    shifted, _, total = _softmax_parts(logits)
-    return shifted[np.arange(labels.size), labels] - np.log(total[:, 0])
+    """Log-softmax probability of each row's label, for logits (..., C) and labels (...)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    total = np.exp(shifted).sum(axis=-1)
+    return np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0] - np.log(total)
 
 
 def _softmax_residual(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """softmax(logits) minus the one-hot labels, for logits (..., C) and labels (...)."""
-    _, expl, total = _softmax_parts(logits)
-    return expl / total - (labels[..., None] == np.arange(logits.shape[-1]))
+    """softmax(logits) minus the one-hot labels, for logits (..., C) and labels
+    (...), computed in place of the logits."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    logits -= labels[..., None] == np.arange(logits.shape[-1])
+    return logits
 
 
 # Stacked kernels: slot s of x (S, d) over its rows feats[s] (B, p) with
 # labels[s] (B,). Every product runs per slot in one batched matmul, which
-# gives each slot the bits of the same product taken alone. The mean
-# gradients, without weight decay, are written into out (S, d).
+# gives each slot the bits of the same product taken alone. The inner loop,
+# `full_gradient` and the per-client evaluation passes all run through them;
+# `evaluate` keeps its own forward pass as the reference the tests compare
+# against. The mean gradients, without weight decay, are written into
+# out (S, d).
 
 
 def _quadratic_grad(curvature, target, x, out=None):
@@ -189,10 +190,24 @@ def _quadratic_grad(curvature, target, x, out=None):
     return np.multiply(curvature, x - target, out=out)
 
 
+def _logits(task: LogisticRegressionTask | MlpTask, feats, x):
+    """Logits (S, B, C) of every slot's rows, and the MLP's hidden
+    activations (S, B, h); None for logistic regression."""
+    S = len(x)
+    if isinstance(task, LogisticRegressionTask):
+        w = x.reshape(S, task.num_classes, task.num_features)
+        return feats @ w.transpose(0, 2, 1), None
+    h, p, c = task.hidden, task.num_features, task.num_classes
+    i0, i1, i2 = task.splits
+    w1 = x[:, :i0].reshape(S, h, p)
+    w2 = x[:, i1:i2].reshape(S, c, h)
+    a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + x[:, None, i0:i1])
+    return a1 @ w2.transpose(0, 2, 1) + x[:, None, i2:], a1
+
+
 def _logistic_grad(task: LogisticRegressionTask, feats, labels, x, out):
     S, c, p = len(x), task.num_classes, task.num_features
-    w = x.reshape(S, c, p)
-    resid = _softmax_residual(feats @ w.transpose(0, 2, 1), labels)
+    resid = _softmax_residual(_logits(task, feats, x)[0], labels)
     np.matmul(resid.transpose(0, 2, 1), feats, out=out.reshape(S, c, p))
     out /= labels.shape[1]
     return out
@@ -201,12 +216,10 @@ def _logistic_grad(task: LogisticRegressionTask, feats, labels, x, out):
 def _mlp_grad(task: MlpTask, feats, labels, x, out):
     S, h, p, c = len(x), task.hidden, task.num_features, task.num_classes
     i0, i1, i2 = task.splits
-    w1 = x[:, :i0].reshape(S, h, p)
-    w2 = x[:, i1:i2].reshape(S, c, h)
-    a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + x[:, None, i0:i1])
-    logits = a1 @ w2.transpose(0, 2, 1) + x[:, None, i2:]
-    dlogits = _softmax_residual(logits, labels) / labels.shape[1]
-    dz1 = (dlogits @ w2) * (1.0 - a1 * a1)
+    logits, a1 = _logits(task, feats, x)
+    dlogits = _softmax_residual(logits, labels)
+    dlogits /= labels.shape[1]
+    dz1 = (dlogits @ x[:, i1:i2].reshape(S, c, h)) * (1.0 - a1 * a1)
     # each slice of out is a view, so the products land in place
     np.matmul(dz1.transpose(0, 2, 1), feats, out=out[:, :i0].reshape(S, h, p))
     np.sum(dz1, axis=1, out=out[:, i0:i1])
@@ -226,11 +239,8 @@ def _data_grad(task: Task, feats, labels, x):
     case of the stacked kernels."""
     if isinstance(task, QuadraticTask):
         return _quadratic_grad(task.curvature, feats.mean(axis=0), x)
-    if isinstance(task, LogisticRegressionTask):
-        return _logistic_grad(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
-    if isinstance(task, MlpTask):
-        return _mlp_grad(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
-    raise StructuralError(f"unknown task kind {task!r}")
+    kernel = _logistic_grad if isinstance(task, LogisticRegressionTask) else _mlp_grad
+    return kernel(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
 
 
 def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVector:
@@ -324,9 +334,9 @@ def check_federation(tasks: list[Task], datasets: list[Dataset]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StackedFederation:
-    """Every client's rows in one array, in client order, with segment bounds.
+    """Every client's rows in one array, in client order.
 
-    Client i owns rows `bounds[i][0]:bounds[i][1]` of `features` and
+    Client i owns rows `offsets[i]:offsets[i + 1]` of `features` and
     `labels`. Data-driven kinds share `task`; quadratics carry per-client
     `curvature` and `center` of shape (N, d). `weight_decay` is per client.
     """
@@ -365,19 +375,33 @@ class StackedFederation:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @cached_property
-    def bounds(self) -> list[tuple[int, int]]:
-        edges = self.offsets.tolist()
-        return list(zip(edges[:-1], edges[1:]))
+    def size_groups(self, clients: np.ndarray):
+        """Per shard size n among `clients`: the positions in `clients` that
+        hold n rows, their features (S, n, p) and their labels (S, n)."""
+        # a dict, not np.unique, which imports numpy.ma on first use
+        groups: dict[int, list[int]] = {}
+        for s, n in enumerate(self.sizes[clients].tolist()):
+            groups.setdefault(n, []).append(s)
+        for n, slots in groups.items():
+            ci = clients[slots]
+            if np.all(np.diff(ci) == 1):
+                # consecutive clients own one block of rows: a view, no gather
+                rows = slice(self.offsets[ci[0]], self.offsets[ci[0]] + ci.size * n)
+            else:
+                rows = self.offsets[ci, None] + np.arange(n)
+            shape = (ci.size, n)
+            yield slots, self.features[rows].reshape(*shape, -1), self.labels[rows].reshape(shape)
 
-    def gradients(self, clients, x, rows, out=None) -> np.ndarray:
+    def gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
         """(S, d) gradients, weight decay included, written into out if given.
 
         Row s is client `clients[s]`'s mean gradient at `x[s]` over the
         global rows `rows[s]`; with rows None, over all of its data
-        (analytic for quadratics), which needs equal-sized clients.
+        (analytic for quadratics), one batched kernel call per shard size.
         """
+        clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
+        kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
         if rows is not None:
             # a gather keeps the index array's memory order, and the products
             # over column-major rows can round differently from row-major ones
@@ -385,91 +409,49 @@ class StackedFederation:
         if self.curvature is not None:
             target = self.center[clients] if rows is None else self.features[rows].mean(axis=1)
             _quadratic_grad(self.curvature[clients], target, x, out=out)
-        else:
-            if rows is None:
-                rows = self.offsets[clients, None] + np.arange(self.sizes[clients[0]])
-            kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
+        elif rows is not None:
             kernel(self.task, self.features[rows], self.labels[rows], x, out)
+        else:
+            for slots, feats, labels in self.size_groups(clients):
+                if len(slots) == clients.size:
+                    kernel(self.task, feats, labels, x, out)
+                else:
+                    # a shared point (stride 0, from client_gradients) needs no gather
+                    xs = x[: len(slots)] if x.strides[0] == 0 else x[slots]
+                    out[slots] = kernel(self.task, feats, labels, xs, np.empty(xs.shape))
         out += self.weight_decay[clients, None] * x
         return out
 
 
-# The passes below give, client by client, the same bits as `evaluate` and
-# `full_gradient`. Elementwise and row-wise steps run once over all rows;
-# every matrix product and every per-client reduction runs on one client's
-# contiguous segment, because a BLAS product over all rows at once may
-# round a row differently from the same product over its client's rows.
-
-
-def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds) -> np.ndarray:
-    """a @ b, computed one row segment at a time."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    for lo, hi in bounds:
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-    return out
-
-
-def _forward(fed: StackedFederation, x: np.ndarray):
-    """Logits of every row, and the MLP's hidden activations (None otherwise)."""
-    task, bounds = fed.task, fed.bounds
-    if isinstance(task, LogisticRegressionTask):
-        w = x.reshape(task.num_classes, task.num_features)
-        return _segment_matmul(fed.features, w.T, bounds), None
-    w1, b1, w2, b2 = task.unpack(x)
-    a1 = np.tanh(_segment_matmul(fed.features, w1.T, bounds) + b1)
-    return _segment_matmul(a1, w2.T, bounds) + b2, a1
+# The passes below run the stacked kernels once per shard-size group of
+# clients, so every client's loss and gradient keep the bits of `evaluate`
+# and `full_gradient` on that client alone.
 
 
 def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
     """(N,) mean loss of every client at x; entry i equals evaluate(task_i, data_i, x)[0]."""
     x = _check_dim(fed.task, x)
-    bounds = fed.bounds
-    if fed.curvature is not None:
-        dx = x - fed.features
-        dz = fed.features - np.repeat(fed.center, fed.sizes, axis=0)
-        dx, dz = dx * dx, dz * dz
-        rows = np.empty((2, fed.features.shape[0]))
-        for i, (lo, hi) in enumerate(bounds):
-            np.matmul(dx[lo:hi], fed.curvature[i], out=rows[0, lo:hi])
-            np.matmul(dz[lo:hi], fed.curvature[i], out=rows[1, lo:hi])
-        sample = 0.5 * (rows[0] - rows[1])
-    else:
-        # negating before the sum is exact: rounding is symmetric in sign
-        sample = -_label_log_probs(_forward(fed, x)[0], fed.labels)
-    # sum / n is how np.mean divides, so each entry keeps evaluate's bits
-    return np.array([sample[lo:hi].sum() / (hi - lo) for lo, hi in bounds])
+    losses = np.empty(fed.N)
+    for slots, feats, labels in fed.size_groups(np.arange(fed.N)):
+        if fed.curvature is not None:
+            curvature = fed.curvature[slots, :, None]
+            dx = x - feats
+            dz = feats - fed.center[slots, None]
+            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
+        else:
+            logits = _logits(fed.task, feats, np.broadcast_to(x, (len(slots), x.size)))[0]
+            # negating before the sum is exact: rounding is symmetric in sign
+            sample = -_label_log_probs(logits, labels)
+        # sum / n is how np.mean divides, so each entry keeps evaluate's bits
+        losses[slots] = sample.sum(axis=1) / labels.shape[1]
+    return losses
 
 
 def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
     """(N, d) stack of the clients' full gradients at x; row i equals
     full_gradient(task_i, data_i, x)."""
     x = _check_dim(fed.task, x)
-    N = fed.N
-    if fed.curvature is not None:
-        return fed.gradients(np.arange(N), np.broadcast_to(x, (N, x.size)), None)
-    task, bounds, feats = fed.task, fed.bounds, fed.features
-    logits, a1 = _forward(fed, x)
-    resid = _softmax_residual(logits, fed.labels)
-    sizes = fed.sizes
-    grads = np.empty((N, x.size))
-    if a1 is None:
-        for i, (lo, hi) in enumerate(bounds):
-            np.matmul(resid[lo:hi].T, feats[lo:hi], out=grads[i].reshape(task.num_classes, -1))
-        grads /= sizes[:, None]
-    else:
-        h, p, c = task.hidden, task.num_features, task.num_classes
-        i0, i1, i2 = task.splits
-        w2 = task.unpack(x)[2]
-        dlogits = resid / np.repeat(sizes, sizes)[:, None]
-        dz1 = _segment_matmul(dlogits, w2, bounds) * (1.0 - a1 * a1)
-        for i, (lo, hi) in enumerate(bounds):
-            row = grads[i]
-            np.matmul(dz1[lo:hi].T, feats[lo:hi], out=row[:i0].reshape(h, p))
-            np.sum(dz1[lo:hi], axis=0, out=row[i0:i1])
-            np.matmul(dlogits[lo:hi].T, a1[lo:hi], out=row[i1:i2].reshape(c, h))
-            np.sum(dlogits[lo:hi], axis=0, out=row[i2:])
-    grads += fed.weight_decay[:, None] * x
-    return grads
+    return fed.gradients(np.arange(fed.N), np.broadcast_to(x, (fed.N, x.size)))
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

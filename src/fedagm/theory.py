@@ -17,7 +17,7 @@ from .errors import ParameterError, StructuralError
 from .local import choice_from_words, words32
 from .numerics import RngStream, as_generator
 from .orchestrator import weighted_dissimilarity
-from .sampling import WEIGHT_SUM_TOL
+from .sampling import check_weights
 from .server import Calibration
 from .tasks import (
     QuadraticTask,
@@ -57,10 +57,9 @@ class ProblemConstants:
             raise StructuralError("sigma_i, G_i, p must have one entry per client")
         if min(self.L, self.sigma_g, self.gamma, self.eta) < 0:
             raise ParameterError("constants must be nonnegative")
-        if np.any(self.sigma_i < 0) or np.any(self.G_i < 0) or np.any(self.p < 0):
+        if np.any(self.sigma_i < 0) or np.any(self.G_i < 0):
             raise ParameterError("per-client constants must be nonnegative")
-        if abs(self.p.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise StructuralError("client weights must sum to 1")
+        check_weights(self.p)
         if self.K < 1 or self.S < 1:
             raise ParameterError("K and S must be >= 1")
 

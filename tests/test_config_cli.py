@@ -485,6 +485,32 @@ class TestPartitionReportCommand:
         assert main(["partition-report", path]) == EXIT_CONFIG
         assert "dataset" in capsys.readouterr().err
 
+    REPORT = {
+        "dataset": {"source": "blobs", "n": 40, "num_classes": 4, "num_features": 3},
+        "partition": {"scheme": "dirichlet", "num_clients": 2, "alpha": 1.0},
+    }
+
+    def check_config_error(self, tmp_path, capsys, obj, where):
+        # each of these used to end in a Python traceback
+        path = write_config(tmp_path, obj, name="p.json")
+        assert main(["partition-report", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+
+    def test_seeds_must_be_a_list_of_integers(self, tmp_path, capsys):
+        obj = self.REPORT | {"seeds": "ab", "out": str(tmp_path / "parts")}
+        self.check_config_error(tmp_path, capsys, obj, "config.seeds")
+
+    def test_alpha_grid_must_hold_numbers(self, tmp_path, capsys):
+        obj = self.REPORT | {"alpha_grid": ["x"], "out": str(tmp_path / "parts")}
+        self.check_config_error(tmp_path, capsys, obj, "config.alpha_grid")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        self.check_config_error(tmp_path, capsys, [1, 2], "config: expected a JSON object")
+
+    def test_out_must_be_a_string(self, tmp_path, capsys):
+        self.check_config_error(tmp_path, capsys, self.REPORT | {"out": 5}, "config.out")
+
 
 class TestThreadEnv:
     def test_metrics_bytes_identical_across_thread_counts(self, tmp_path, monkeypatch):

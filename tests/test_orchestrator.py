@@ -416,6 +416,14 @@ class TestProblemValidation:
         with pytest.raises(StructuralError):
             FederatedProblem([task], [ClientShard(data, 0.7)])
 
+    @pytest.mark.parametrize("weights", [(1.5, -0.5), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_rejects_bad_weight_entries_at_construction(self, weights):
+        # such weights used to pass here and fail at round 0 instead
+        task = QuadraticTask(np.ones(2), np.zeros(2))
+        data = make_quadratic_client_data(task, 4, 1.0, RngStream(0))
+        with pytest.raises(ParameterError):
+            FederatedProblem([task, task], [ClientShard(data, w) for w in weights])
+
     def test_task_shard_count_must_agree(self):
         task = QuadraticTask(np.ones(2), np.zeros(2))
         data = make_quadratic_client_data(task, 4, 1.0, RngStream(0))

@@ -86,6 +86,16 @@ class TestValidation:
         with pytest.raises(StructuralError):
             sample_round(np.array([0.3, 0.3]), SamplingSpec(S=1), RngStream(0))
 
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_weight(self, p):
+        with pytest.raises(ParameterError):
+            sample_round(np.array(p), SamplingSpec(S=1), RngStream(0))
+
+    def test_weights_must_be_a_nonempty_vector(self):
+        for p in (np.ones((1, 1)), np.ones(0)):
+            with pytest.raises(StructuralError):
+                sample_round(p, SamplingSpec(S=1), RngStream(0))
+
     def test_bad_spec_parameters(self):
         with pytest.raises(ParameterError):
             SamplingSpec(S=0)

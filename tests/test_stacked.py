@@ -185,6 +185,44 @@ class TestStackedEval:
         assert problem.gradient_stats(x) == (float(mean @ mean), sigma_g)
         np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
 
+    @given(
+        kind=st.sampled_from(KINDS),
+        shape=st.sampled_from([(3, 3, 4), (40, 10, 33)]),
+        sizes=st.lists(st.sampled_from([1, 3, 8]), min_size=1, max_size=9),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_sizes_batch_with_the_bits_of_each_client(self, kind, shape, sizes, seed):
+        # with sizes drawn from a small set, most size groups hold several
+        # clients, consecutive or not, and run as one batched kernel call
+        width, classes, hidden = shape
+        tasks, datasets = federation(kind, sizes, seed, width=width, classes=classes, hidden=hidden)
+        p = np.array(sizes, dtype=np.float64) / sum(sizes)
+        problem = FederatedProblem(tasks, [ClientShard(d, w) for d, w in zip(datasets, p)])
+        x = 0.2 * np.random.default_rng(seed).normal(size=problem.dim)
+        pairs = list(zip(problem.weights, tasks, datasets))
+        losses = client_losses(problem.stacked, x)
+        grads = client_gradients(problem.stacked, x)
+        np.testing.assert_array_equal(losses, [evaluate(t, d, x)[0] for _, t, d in pairs])
+        stack = np.stack([full_gradient(t, d, x) for _, t, d in pairs])
+        np.testing.assert_array_equal(grads, stack)
+        assert problem.train_loss(x) == float(sum(w * evaluate(t, d, x)[0] for w, t, d in pairs))
+        mean, sigma_g = weighted_dissimilarity(stack, problem.weights)
+        assert problem.gradient_stats(x) == (float(mean @ mean), sigma_g)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sizes", [(3, 5), (5, 3)])
+    def test_gradients_without_rows_use_each_clients_own_size(self, kind, sizes):
+        # every slot used to take the first slot's row count: a wrong row
+        # for sizes (3, 5), an IndexError for (5, 3)
+        tasks, datasets = federation(kind, sizes, 4)
+        fed = StackedFederation.build(tasks, datasets)
+        clients = [1, 0, 1, 1]
+        x = 0.2 * np.random.default_rng(7).normal(size=(len(clients), fed.dim))
+        grads = fed.gradients(clients, x, None)
+        for s, c in enumerate(clients):
+            np.testing.assert_array_equal(grads[s], full_gradient(tasks[c], datasets[c], x[s]))
+
     def test_view_is_built_once_per_problem(self):
         problem = self.problem("logistic")
         assert problem.stacked is problem.stacked

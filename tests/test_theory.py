@@ -538,6 +538,10 @@ class TestConstantsValidation:
         with pytest.raises(StructuralError):
             constants(sigma_i=np.array([1.0, 2.0]))
 
+    def test_non_finite_weight(self):
+        with pytest.raises(ParameterError):
+            constants(p=np.array([np.nan]))
+
     def test_negative_values(self):
         with pytest.raises(ParameterError):
             constants(L=-1.0)
