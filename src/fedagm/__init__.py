@@ -13,6 +13,7 @@ from .local import LocalConfig, LocalResult, draw_minibatches, run_clients, run_
 from .numerics import (
     ParamVector,
     RngStream,
+    StreamBatch,
     as_generator,
     l2_norm_sq,
     sample_dirichlet,

@@ -20,6 +20,7 @@ separate lockstep groups. `run_local` is the one-slot call.
 
 `draw_minibatches` takes a group's minibatches for all of its steps before
 the step loop, in one vectorised pass over each slot's raw PCG64 words. The
+slots' generators are seeded together (`StreamBatch.bit_generators`). The
 indices are those of `steps` sequential `Generator.choice(n, batch,
 replace=False)` calls on the slot's generator, bit for bit: for n <= 10000
 NumPy's `choice` is Floyd's sampling followed by a Fisher-Yates shuffle,
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .numerics import ParamVector, RngStream, as_generator
+from .numerics import ParamVector, RngStream, StreamBatch, as_generator
 from .partition import ClientShard
 
 # stochastic_gradient is not called here; it stays bound in this module for
@@ -98,8 +99,12 @@ def words32(gen: np.random.Generator, count: int) -> np.ndarray:
     """The next `count` 32-bit words of a fresh PCG64 generator, as uint64,
     in the order its `next_uint32` hands them out: low half of each 64-bit
     output, then its high half."""
-    raw = gen.bit_generator.random_raw((count + 1) // 2)
-    return raw.astype("<u8").view("<u4")[:count].astype(np.uint64)
+    return _split32(gen.bit_generator.random_raw((count + 1) // 2), count)
+
+
+def _split32(raw: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` 32-bit halves along the last axis of 64-bit words, low half first."""
+    return raw.astype("<u8").view("<u4")[..., :count].astype(np.uint64)
 
 
 def _bounded(words: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +152,13 @@ def choice_from_words(
     return np.ascontiguousarray(out.T), exact
 
 
-def draw_minibatches(streams: list[RngStream], sizes, batch: int, steps: int) -> np.ndarray:
+def draw_minibatches(streams: StreamBatch, sizes, batch: int, steps: int) -> np.ndarray:
     """(S, steps, batch) int64: row [s, k] is the k-th of `steps` sequential
     `streams[s].generator().choice(sizes[s], size=batch, replace=False)`
     calls, bit for bit.
 
-    Each slot reads steps * (2*batch - 1) words with one `random_raw` call,
+    The S generators are seeded in one pass (`StreamBatch.bit_generators`),
+    each slot reads steps * (2*batch - 1) words with one `random_raw` call,
     and all S * steps draws are taken at once by `choice_from_words`. A slot
     with a lane that is not `choice`'s (a word is rejected with probability
     below size / 2**32) is redrawn with `choice` from a fresh generator of
@@ -165,15 +171,16 @@ def draw_minibatches(streams: list[RngStream], sizes, batch: int, steps: int) ->
     if batch < 1 or steps < 1 or np.any(sizes <= batch):
         raise ParameterError(f"need batch >= 1, steps >= 1 and every size above batch={batch}")
     per_draw = 2 * batch - 1
-    words = np.empty((S, steps * per_draw), dtype=np.uint64)
-    for s, stream in enumerate(streams):
-        words[s] = words32(as_generator(stream), steps * per_draw)
+    count = steps * per_draw
+    raw = np.empty((S, (count + 1) // 2), dtype=np.uint64)
+    for s, bit_generator in enumerate(streams.bit_generators()):
+        raw[s] = bit_generator.random_raw(raw.shape[1])
     draws, exact = choice_from_words(
-        words.reshape(S * steps, per_draw), np.repeat(sizes, steps), batch
+        _split32(raw, count).reshape(S * steps, per_draw), np.repeat(sizes, steps), batch
     )
     draws = draws.reshape(S, steps, batch)
     for s in np.flatnonzero(~exact.reshape(S, steps).all(axis=1)):
-        gen = streams[s].generator()
+        gen = as_generator(streams[s])
         n = int(sizes[s])
         draws[s] = [gen.choice(n, size=batch, replace=False) for _ in range(steps)]
     return draws
@@ -184,7 +191,7 @@ def run_clients(
     clients,
     x_start: ParamVector,
     cfg: LocalConfig,
-    rngs: list[RngStream],
+    rngs: StreamBatch | list[RngStream],
     server_cv: ParamVector | None = None,
     client_cvs: np.ndarray | None = None,
     record: bool = False,
@@ -203,6 +210,8 @@ def run_clients(
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (d,):
         raise StructuralError(f"x_start has shape {x_start.shape}, task needs ({d},)")
+    if not isinstance(rngs, StreamBatch):
+        rngs = StreamBatch.of(rngs)
     if len(rngs) != S:
         raise StructuralError(f"need one stream per slot, got {len(rngs)} for {S} slots")
     if cfg.variant == "scaffold":
@@ -229,12 +238,13 @@ def run_clients(
         # x - gamma * direction, and large models skip two allocations a step
         x = np.repeat(x_start[None], len(slots), axis=0)
         direction = np.empty_like(x)
+        scratch = np.empty_like(x)
         trajectory = [x.copy()] if record else []
         if not full:
-            draws = draw_minibatches([rngs[s] for s in slots], fed.sizes[ci], batch, steps)
+            draws = draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
             rows = fed.offsets[ci, None, None] + draws
         for k in range(steps):
-            fed.gradients(ci, x, None if full else rows[:, k], out=direction)
+            fed.gradients(ci, x, None if full else rows[:, k], out=direction, scratch=scratch)
             if cfg.variant == "prox":
                 direction += cfg.prox_mu * (x - x_start)
             elif cfg.variant == "scaffold":

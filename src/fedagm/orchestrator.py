@@ -37,6 +37,7 @@ from .tasks import (
     StackedFederation,
     Task,
     check_federation,
+    client_evaluation,
     client_gradients,
     client_losses,
     evaluate,
@@ -114,6 +115,18 @@ class PlateauTracker:
             self.bad = 0
 
 
+def weighted_loss(p: np.ndarray, losses: np.ndarray) -> float:
+    """sum_i p_i loss_i, summed in client order."""
+    # a Python sum in client order keeps the bits of the per-client sum
+    return float(sum(w * loss for w, loss in zip(p, losses)))
+
+
+def gradient_summary(p: np.ndarray, grads: np.ndarray) -> tuple[float, float]:
+    """(||sum_i p_i grad_i||^2, weighted client-gradient dissimilarity)."""
+    mean, sigma_g = weighted_dissimilarity(grads, p)
+    return float(mean @ mean), sigma_g
+
+
 def weighted_dissimilarity(
     grads: np.ndarray, p: np.ndarray, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
@@ -152,7 +165,7 @@ class FederatedProblem:
     def dim(self) -> int:
         return self.client_tasks[0].dim
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         return np.array([shard.weight for shard in self.shards])
 
@@ -166,14 +179,10 @@ class FederatedProblem:
 
     def gradient_stats(self, x: np.ndarray) -> tuple[float, float]:
         """(||grad f(x)||^2, weighted client-gradient dissimilarity) in one pass."""
-        grads = client_gradients(self.stacked, x)
-        mean, sigma_g = weighted_dissimilarity(grads, self.weights)
-        return float(mean @ mean), sigma_g
+        return gradient_summary(self.weights, client_gradients(self.stacked, x))
 
     def train_loss(self, x: np.ndarray) -> float:
-        # a Python sum in client order keeps the bits of the per-client sum
-        losses = client_losses(self.stacked, x)
-        return float(sum(w * loss for w, loss in zip(self.weights, losses)))
+        return weighted_loss(self.weights, client_losses(self.stacked, x))
 
     def test_metrics(self, x: np.ndarray) -> tuple[float, float]:
         if self.test_data is None:
@@ -247,7 +256,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Drive T rounds and return the full metric log.
 
     Each round makes one `run_clients` call, which runs the sampled slots
-    in lockstep on the calling thread.
+    in lockstep on the calling thread; their streams are derived in one
+    array pass (`RngStream.derive_lanes`).
+
+    The training loss, and on evaluated rounds the gradient statistics,
+    come from one `client_evaluation` pass over the clients, which the
+    round's `sample_round` call follows.
 
     A non-finite iterate at the start of a round, or a training loss above
     the divergence cap, aborts the loop; the log then ends at the last
@@ -292,7 +306,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         want_row = (t % cfg.eval_every == 0) or t == T - 1
         train_loss = np.nan
         if want_row or plateau_in_use:
-            train_loss = prob.train_loss(state.x)
+            losses, grads = client_evaluation(fed, state.x, gradients=want_row)
+            train_loss = weighted_loss(p, losses)
             if not np.isfinite(train_loss) or train_loss > cfg.divergence_loss_cap:
                 diverged, divergence_round = True, t
                 break
@@ -305,7 +320,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         grad_norm_sq, sigma_g = (np.nan, np.nan)
         test_acc = 0.0
         if want_row:
-            grad_norm_sq, sigma_g = prob.gradient_stats(state.x)
+            grad_norm_sq, sigma_g = gradient_summary(p, grads)
+            del grads  # an (N, d) stack: free it before the clients train
             _, test_acc = prob.test_metrics(state.x)
         if iterates is not None:
             iterates.append(state.x.copy())
@@ -317,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             sampled,
             broadcast_x,
             replace(cfg.local, gamma=gamma_t),
-            [root.derive(TAG_LOCAL, t, slot, int(ci)) for slot, ci in enumerate(sampled)],
+            root.derive_lanes(TAG_LOCAL, t, np.arange(sampled.size), sampled),
             server_cv=None if cv_table is None else cv_table.mean(axis=0),
             client_cvs=None if cv_table is None else cv_table[sampled],
             record=cfg.record_drift,

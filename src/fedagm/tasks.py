@@ -166,12 +166,28 @@ def _label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0] - np.log(total)
 
 
-def _softmax_residual(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """softmax(logits) minus the one-hot labels, for logits (..., C) and labels
-    (...), computed in place of the logits."""
+def _mean_losses(sample: np.ndarray) -> np.ndarray:
+    """Each slot's mean over its rows of the per-row losses (S, B)."""
+    # sum / n is how np.mean divides, so each entry keeps evaluate's bits
+    return sample.sum(axis=1) / sample.shape[1]
+
+
+def _softmax_residual(logits: np.ndarray, labels: np.ndarray, losses=None) -> np.ndarray:
+    """softmax(logits) minus the one-hot labels, for logits (S, B, C) and
+    labels (S, B), computed in place of the logits.
+
+    With `losses` (S,), each slot's mean cross-entropy is written there,
+    from the same shifted logits: the bits of `_label_log_probs`.
+    """
     logits -= logits.max(axis=-1, keepdims=True)
+    if losses is not None:
+        picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    total = logits.sum(axis=-1, keepdims=True)
+    if losses is not None:
+        # negating before the sum is exact: rounding is symmetric in sign
+        losses[...] = _mean_losses(-(picked - np.log(total[..., 0])))
+    logits /= total
     logits -= labels[..., None] == np.arange(logits.shape[-1])
     return logits
 
@@ -182,7 +198,8 @@ def _softmax_residual(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 # `full_gradient` and the per-client evaluation passes all run through them;
 # `evaluate` keeps its own forward pass as the reference the tests compare
 # against. The mean gradients, without weight decay, are written into
-# out (S, d).
+# out (S, d); with `losses` (S,), the slots' mean losses from the same
+# forward pass go there.
 
 
 def _quadratic_grad(curvature, target, x, out=None):
@@ -201,30 +218,39 @@ def _logits(task: LogisticRegressionTask | MlpTask, feats, x):
     i0, i1, i2 = task.splits
     w1 = x[:, :i0].reshape(S, h, p)
     w2 = x[:, i1:i2].reshape(S, c, h)
-    a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + x[:, None, i0:i1])
-    return a1 @ w2.transpose(0, 2, 1) + x[:, None, i2:], a1
+    # the hidden layer is formed in one buffer, op by op the same bits
+    a1 = feats @ w1.transpose(0, 2, 1)
+    a1 += x[:, None, i0:i1]
+    np.tanh(a1, out=a1)
+    logits = a1 @ w2.transpose(0, 2, 1)
+    logits += x[:, None, i2:]
+    return logits, a1
 
 
-def _logistic_grad(task: LogisticRegressionTask, feats, labels, x, out):
+def _logistic_grad(task: LogisticRegressionTask, feats, labels, x, out, losses=None):
     S, c, p = len(x), task.num_classes, task.num_features
-    resid = _softmax_residual(_logits(task, feats, x)[0], labels)
+    resid = _softmax_residual(_logits(task, feats, x)[0], labels, losses)
     np.matmul(resid.transpose(0, 2, 1), feats, out=out.reshape(S, c, p))
     out /= labels.shape[1]
     return out
 
 
-def _mlp_grad(task: MlpTask, feats, labels, x, out):
+def _mlp_grad(task: MlpTask, feats, labels, x, out, losses=None):
     S, h, p, c = len(x), task.hidden, task.num_features, task.num_classes
     i0, i1, i2 = task.splits
     logits, a1 = _logits(task, feats, x)
-    dlogits = _softmax_residual(logits, labels)
+    dlogits = _softmax_residual(logits, labels, losses)
     dlogits /= labels.shape[1]
-    dz1 = (dlogits @ x[:, i1:i2].reshape(S, c, h)) * (1.0 - a1 * a1)
     # each slice of out is a view, so the products land in place
-    np.matmul(dz1.transpose(0, 2, 1), feats, out=out[:, :i0].reshape(S, h, p))
-    np.sum(dz1, axis=1, out=out[:, i0:i1])
     np.matmul(dlogits.transpose(0, 2, 1), a1, out=out[:, i1:i2].reshape(S, c, h))
     np.sum(dlogits, axis=1, out=out[:, i2:])
+    # a1 is spent: its buffer takes tanh's derivative 1 - a1 * a1
+    a1 *= a1
+    np.subtract(1.0, a1, out=a1)
+    dz1 = dlogits @ x[:, i1:i2].reshape(S, c, h)
+    dz1 *= a1
+    np.matmul(dz1.transpose(0, 2, 1), feats, out=out[:, :i0].reshape(S, h, p))
+    np.sum(dz1, axis=1, out=out[:, i0:i1])
     return out
 
 
@@ -375,6 +401,13 @@ class StackedFederation:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @cached_property
+    def shared_decay(self) -> float | None:
+        """The weight decay every client shares (always, for data tasks), or
+        None if the clients' values differ."""
+        first = self.weight_decay[0]
+        return float(first) if np.all(self.weight_decay == first) else None
+
     def size_groups(self, clients: np.ndarray):
         """Per shard size n among `clients`: the positions in `clients` that
         hold n rows, their features (S, n, p) and their labels (S, n)."""
@@ -392,16 +425,22 @@ class StackedFederation:
             shape = (ci.size, n)
             yield slots, self.features[rows].reshape(*shape, -1), self.labels[rows].reshape(shape)
 
-    def gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
+    def gradients(self, clients, x, rows=None, out=None, losses=None, scratch=None) -> np.ndarray:
         """(S, d) gradients, weight decay included, written into out if given.
 
         Row s is client `clients[s]`'s mean gradient at `x[s]` over the
         global rows `rows[s]`; with rows None, over all of its data
         (analytic for quadratics), one batched kernel call per shard size.
+        With rows None, a data task can also write each client's mean loss
+        over its data into `losses` (S,), from the same forward pass.
+        `scratch`, an (S, d) buffer a caller reuses across calls, takes the
+        weight-decay term when the points differ; a temporary if None.
         """
         clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
         kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
+        if losses is not None and (rows is not None or self.curvature is not None):
+            raise StructuralError("losses come only with full-data gradients of a data task")
         if rows is not None:
             # a gather keeps the index array's memory order, and the products
             # over column-major rows can round differently from row-major ones
@@ -414,12 +453,20 @@ class StackedFederation:
         else:
             for slots, feats, labels in self.size_groups(clients):
                 if len(slots) == clients.size:
-                    kernel(self.task, feats, labels, x, out)
-                else:
-                    # a shared point (stride 0, from client_gradients) needs no gather
-                    xs = x[: len(slots)] if x.strides[0] == 0 else x[slots]
-                    out[slots] = kernel(self.task, feats, labels, xs, np.empty(xs.shape))
-        out += self.weight_decay[clients, None] * x
+                    kernel(self.task, feats, labels, x, out, losses)
+                    continue
+                # a shared point (stride 0, from client_gradients) needs no gather
+                xs = x[: len(slots)] if x.strides[0] == 0 else x[slots]
+                group = None if losses is None else np.empty(len(slots))
+                out[slots] = kernel(self.task, feats, labels, xs, np.empty(xs.shape), group)
+                if losses is not None:
+                    losses[slots] = group
+        decay = self.shared_decay
+        if decay is None:
+            out += self.weight_decay[clients, None] * x
+        elif decay != 0.0:
+            # one lambda for all: a shared point (stride 0) forms lambda * x once
+            out += decay * x[0] if x.strides[0] == 0 else np.multiply(x, decay, out=scratch)
         return out
 
 
@@ -429,7 +476,8 @@ class StackedFederation:
 
 
 def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
-    """(N,) mean loss of every client at x; entry i equals evaluate(task_i, data_i, x)[0]."""
+    """(N,) mean loss of every client at x, forward passes only; entry i
+    equals evaluate(task_i, data_i, x)[0]."""
     x = _check_dim(fed.task, x)
     losses = np.empty(fed.N)
     for slots, feats, labels in fed.size_groups(np.arange(fed.N)):
@@ -442,8 +490,7 @@ def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
             logits = _logits(fed.task, feats, np.broadcast_to(x, (len(slots), x.size)))[0]
             # negating before the sum is exact: rounding is symmetric in sign
             sample = -_label_log_probs(logits, labels)
-        # sum / n is how np.mean divides, so each entry keeps evaluate's bits
-        losses[slots] = sample.sum(axis=1) / labels.shape[1]
+        losses[slots] = _mean_losses(sample)
     return losses
 
 
@@ -452,6 +499,21 @@ def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
     full_gradient(task_i, data_i, x)."""
     x = _check_dim(fed.task, x)
     return fed.gradients(np.arange(fed.N), np.broadcast_to(x, (fed.N, x.size)))
+
+
+def client_evaluation(
+    fed: StackedFederation, x: ParamVector, gradients: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """`client_losses` and, with gradients, `client_gradients` at x, bit for
+    bit; a data task takes both from one forward pass per shard-size group."""
+    x = _check_dim(fed.task, x)
+    if not gradients:
+        return client_losses(fed, x), None
+    if fed.curvature is not None:
+        return client_losses(fed, x), client_gradients(fed, x)
+    losses = np.empty(fed.N)
+    grads = fed.gradients(np.arange(fed.N), np.broadcast_to(x, (fed.N, x.size)), losses=losses)
+    return losses, grads
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

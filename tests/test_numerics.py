@@ -1,18 +1,23 @@
 """Vector arithmetic, counter-based streams, and Dirichlet sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedagm import (
     ParameterError,
     RngStream,
+    StreamBatch,
     as_generator,
     l2_norm_sq,
     sample_dirichlet,
     splitmix64,
 )
+from fedagm.numerics import seed_sequence_words
 
 # First outputs of the reference splitmix64 stream seeded with 0.
 GOLDEN = 0x9E3779B97F4A7C15
@@ -151,3 +156,68 @@ class TestStreams:
         a = sample_dirichlet(RngStream(1, 2), 0.3, 12)
         b = sample_dirichlet(RngStream(1, 2), 0.3, 12)
         np.testing.assert_array_equal(a, b)
+
+
+# Seeds where the one-word and two-word entropy forms meet, and the ends.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+U64 = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
+NUMPY_CHANGED = (
+    f"NumPy {np.__version__}: SeedSequence or PCG64 seeding no longer matches "
+    "numerics.seed_sequence_words"
+)
+
+
+class TestStreamBatch:
+    """The vectorised derivation and seeding give each lane the bits of its
+    own `RngStream.derive` and `RngStream.generator`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entropy=st.lists(U64, min_size=1, max_size=12))
+    def test_seed_words_equal_seed_sequence(self, entropy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint wraparound may warn
+            words = seed_sequence_words(np.array(entropy, dtype=np.uint64))
+        assert words.shape == (len(entropy), 4) and words.dtype == np.uint64
+        for value, row in zip(entropy, words):
+            expected = np.random.SeedSequence(value).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expected, err_msg=NUMPY_CHANGED)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.one_of(U64, st.integers(-(2**63), -1)),
+        stream_id=U64,
+        prefix=st.lists(st.integers(-(2**63), 2**64 - 1), max_size=2),
+        lanes=st.lists(
+            st.tuples(st.integers(-(2**63), 2**63 - 1), U64), min_size=1, max_size=16
+        ),
+        words=st.integers(1, 5),
+    )
+    def test_lanes_equal_one_stream_at_a_time(self, seed, stream_id, prefix, lanes, words):
+        signed = np.array([a for a, _ in lanes], dtype=np.int64)
+        unsigned = np.array([b for _, b in lanes], dtype=np.uint64)
+        root = RngStream(seed, stream_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = root.derive_lanes(*prefix, signed, unsigned)
+            bit_generators = batch.bit_generators()
+        assert len(batch) == len(lanes) == len(bit_generators)
+        for j, (a, b) in enumerate(lanes):
+            alone = root.derive(*prefix, a, b)
+            assert batch[j] == RngStream(seed % 2**64, alone.stream_id)
+            np.testing.assert_array_equal(
+                bit_generators[j].random_raw(words),
+                alone.generator().bit_generator.random_raw(words),
+                err_msg=NUMPY_CHANGED,
+            )
+
+    def test_of_and_take_keep_each_lane(self):
+        streams = [RngStream(5, 3), RngStream(2**64 - 1, 2**64 - 1), RngStream(0).derive(9)]
+        batch = StreamBatch.of(streams)
+        assert [batch[j] for j in range(3)] == streams
+        assert [batch.take([2, 0])[j] for j in range(2)] == [streams[2], streams[0]]
+        for bit_generator, stream in zip(batch.bit_generators(), streams):
+            np.testing.assert_array_equal(
+                bit_generator.random_raw(3),
+                stream.generator().bit_generator.random_raw(3),
+                err_msg=NUMPY_CHANGED,
+            )

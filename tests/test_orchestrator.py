@@ -168,6 +168,42 @@ class TestMessageCounts:
         run_experiment(config(problem, rounds=7))
         assert len(calls) == 7
 
+    def test_each_round_samples_once_after_its_evaluation(self, monkeypatch):
+        # The benchmark's round clock stamps each round by wrapping
+        # fedagm.orchestrator.sample_round: the round loop must look it up
+        # at call time and call it once a round, after the round's
+        # evaluation. Plateau rounds that log no row take losses only.
+        problem = quadratic_problem()
+        events = []
+        real_sample, real_eval = orch.sample_round, orch.client_evaluation
+        real_test = FederatedProblem.test_metrics
+
+        def sample(*args, **kw):
+            events.append("sample")
+            return real_sample(*args, **kw)
+
+        def evaluation(fed, x, gradients=True):
+            events.append("grads" if gradients else "losses")
+            return real_eval(fed, x, gradients=gradients)
+
+        def test_metrics(self, x):
+            events.append("test")
+            return real_test(self, x)
+
+        monkeypatch.setattr(orch, "sample_round", sample)
+        monkeypatch.setattr(orch, "client_evaluation", evaluation)
+        monkeypatch.setattr(FederatedProblem, "test_metrics", test_metrics)
+        T, every = 7, 3
+        plateau = ScheduleSpec(kind="plateau", patience=2)
+        run_experiment(config(problem, rounds=T, eval_every=every))
+        run_experiment(config(problem, rounds=T, eval_every=every, eta_schedule=plateau))
+        logged = [t % every == 0 or t == T - 1 for t in range(T)]
+        plain = [e for row in logged for e in (["grads", "test"] if row else []) + ["sample"]]
+        with_plateau = [
+            e for row in logged for e in (["grads", "test"] if row else ["losses"]) + ["sample"]
+        ]
+        assert events == plain + with_plateau
+
 
 class TestMetricsLog:
     def test_row_cadence_and_fields(self):

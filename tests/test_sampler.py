@@ -16,6 +16,7 @@ from fedagm import (
     ParameterError,
     RngStream,
     StackedFederation,
+    StreamBatch,
     StructuralError,
     run_clients,
     run_local,
@@ -29,7 +30,7 @@ def sequential(stream, n, batch, steps):
 
 
 def assert_matches_choice(streams, sizes, batch, steps):
-    draws = draw_minibatches(streams, sizes, batch, steps)
+    draws = draw_minibatches(StreamBatch.of(streams), sizes, batch, steps)
     assert draws.shape == (len(streams), steps, batch)
     assert draws.dtype == np.int64
     assert draws.flags.c_contiguous
@@ -113,9 +114,9 @@ def test_flagged_slots_get_choices_bits(monkeypatch):
 
 def test_population_must_exceed_the_batch():
     with pytest.raises(ParameterError):
-        draw_minibatches([RngStream(0)], [4], 4, 1)
+        draw_minibatches(StreamBatch.of([RngStream(0)]), [4], 4, 1)
     with pytest.raises(StructuralError):
-        draw_minibatches([RngStream(0), RngStream(1)], [9], 4, 1)
+        draw_minibatches(StreamBatch.of([RngStream(0), RngStream(1)]), [9], 4, 1)
 
 
 def test_lockstep_slots_keep_the_bits_of_lone_clients():

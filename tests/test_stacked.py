@@ -27,20 +27,22 @@ from fedagm import (
     stochastic_gradient,
 )
 from fedagm.orchestrator import weighted_dissimilarity
-from fedagm.tasks import client_gradients, client_losses
+from fedagm.tasks import client_evaluation, client_gradients, client_losses
 
 KINDS = ("quadratic", "logistic", "mlp")
 
 
-def federation(kind, sizes, seed, width=3, classes=3, hidden=4):
-    """Per-client tasks and datasets of the given sizes."""
+def federation(kind, sizes, seed, width=3, classes=3, hidden=4, decay=None):
+    """Per-client tasks and datasets of the given sizes. Quadratic clients
+    draw their own weight decay unless `decay` is given; data tasks share
+    `decay`, 0.01 if None."""
     gen = np.random.default_rng(seed)
     if kind == "quadratic":
         tasks = [
             QuadraticTask(
                 gen.uniform(0.5, 2.0, width),
                 gen.normal(size=width),
-                weight_decay=float(gen.uniform(0.0, 0.1)),
+                weight_decay=float(gen.uniform(0.0, 0.1)) if decay is None else decay,
             )
             for _ in sizes
         ]
@@ -49,10 +51,11 @@ def federation(kind, sizes, seed, width=3, classes=3, hidden=4):
             for i, (t, n) in enumerate(zip(tasks, sizes))
         ]
         return tasks, datasets
+    decay = 0.01 if decay is None else decay
     if kind == "logistic":
-        task = LogisticRegressionTask(width, classes, weight_decay=0.01)
+        task = LogisticRegressionTask(width, classes, weight_decay=decay)
     else:
-        task = MlpTask(width, hidden, classes, weight_decay=0.01)
+        task = MlpTask(width, hidden, classes, weight_decay=decay)
     datasets = [
         Dataset(gen.normal(size=(n, width)), gen.integers(0, classes, n), classes) for n in sizes
     ]
@@ -101,14 +104,16 @@ class TestLockstepEngine:
         width=st.sampled_from([1, 3]),
         slots=st.lists(st.integers(0, 3), min_size=1, max_size=6),
         seed=st.integers(0, 2**16),
+        decay=st.sampled_from([None, 0.0, 0.02]),
     )
     def test_slots_equal_separate_one_slot_runs(
-        self, kind, variant, epoch_mode, sizes, batch, K, width, slots, seed
+        self, kind, variant, epoch_mode, sizes, batch, K, width, slots, seed, decay
     ):
         # Unequal shards, some smaller than the batch, and clients drawn
-        # more than once: every slot keeps the bits of a lone client.
+        # more than once: every slot keeps the bits of a lone client. The
+        # clients' weight decay differs, is shared, or is zero.
         clients = [s % len(sizes) for s in slots]
-        tasks, datasets = federation(kind, sizes, seed, width=width)
+        tasks, datasets = federation(kind, sizes, seed, width=width, decay=decay)
         fed = StackedFederation.build(tasks, datasets)
         cfg = LocalConfig(
             K=K, gamma=0.05, batch_size=batch, variant=variant, prox_mu=0.3, epoch_mode=epoch_mode
@@ -209,6 +214,46 @@ class TestStackedEval:
         assert problem.train_loss(x) == float(sum(w * evaluate(t, d, x)[0] for w, t, d in pairs))
         mean, sigma_g = weighted_dissimilarity(stack, problem.weights)
         assert problem.gradient_stats(x) == (float(mean @ mean), sigma_g)
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        shape=st.sampled_from([(3, 3, 4), (40, 10, 33)]),
+        sizes=st.lists(st.sampled_from([1, 3, 8]), min_size=1, max_size=9),
+        decay=st.sampled_from([None, 0.0, 0.02]),
+        gradients=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_gives_evaluate_and_full_gradient_bits(
+        self, kind, shape, sizes, decay, gradients, seed
+    ):
+        # The round loop's pass: losses alone (plateau rounds that log no
+        # row), or losses and gradients from one forward per size group.
+        width, classes, hidden = shape
+        tasks, datasets = federation(
+            kind, sizes, seed, width=width, classes=classes, hidden=hidden, decay=decay
+        )
+        fed = StackedFederation.build(tasks, datasets)
+        x = 0.2 * np.random.default_rng(seed).normal(size=fed.dim)
+        losses, grads = client_evaluation(fed, x, gradients=gradients)
+        np.testing.assert_array_equal(losses, [evaluate(t, d, x)[0] for t, d in zip(tasks, datasets)])
+        if not gradients:
+            assert grads is None
+            return
+        stack = np.stack([full_gradient(t, d, x) for t, d in zip(tasks, datasets)])
+        np.testing.assert_array_equal(grads, stack)
+
+    def test_losses_come_only_with_full_data_gradients(self):
+        tasks, datasets = federation("quadratic", [4, 4], 0)
+        fed = StackedFederation.build(tasks, datasets)
+        with pytest.raises(StructuralError):
+            fed.gradients([0, 1], np.zeros((2, fed.dim)), losses=np.empty(2))
+
+    def test_shared_decay_is_read_from_the_clients(self):
+        assert StackedFederation.build(*federation("quadratic", [4, 4], 0)).shared_decay is None
+        same = federation("quadratic", [4, 4], 0, decay=0.3)
+        assert StackedFederation.build(*same).shared_decay == 0.3
+        assert StackedFederation.build(*federation("mlp", [4, 4], 0)).shared_decay == 0.01
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("sizes", [(3, 5), (5, 3)])
