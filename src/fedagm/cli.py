@@ -8,10 +8,10 @@ fedagm compare <manifest.json>
 fedagm partition-report <config.json>
     Per-client class histograms and an entropy summary over an alpha grid.
 
-Exit codes: 0 success, 1 bad config, 2 divergence. `run` works on one
-thread, its sampled clients in lockstep; FEDOPT_THREADS sizes the pool that
-`compare` runs its cells in, and outputs are bit-identical for any value
-of it.
+Exit codes: 0 success, 1 bad config, 2 divergence. Everything runs on the
+calling thread: `run` steps its sampled clients in lockstep, and `compare`
+runs its cells one after another, method by method and seed by seed. No
+environment variable changes what a command computes or writes.
 """
 
 from __future__ import annotations
@@ -21,22 +21,30 @@ import copy
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import (
-    CompareManifest,
+    _get_list,
+    _get_optional,
+    _get_section,
+    _get_str,
     build_dataset,
     load_json_file,
     load_manifest,
     parse_config,
     parse_partition,
-    parse_server,
 )
 from .errors import ConfigError, FedAgmError
 from .numerics import RngStream
-from .orchestrator import ExperimentConfig, ExperimentResult, initial_point, run_experiment
+from .orchestrator import (
+    TAG_PARTITION,
+    TAG_THEORY,
+    ExperimentConfig,
+    ExperimentResult,
+    initial_point,
+    run_experiment,
+)
 from .partition import (
     empirical_label_histogram,
     mean_label_entropy,
@@ -44,7 +52,6 @@ from .partition import (
     write_partition_report,
 )
 from .serialize import atomic_write_text, fmt17, save_model, write_json, write_metrics
-from .server import recover_baseline
 from .theory import (
     compute_V,
     estimate_problem_constants,
@@ -56,10 +63,6 @@ from .theory import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
-
-
-def _threads() -> int:
-    return max(1, int(os.environ.get("FEDOPT_THREADS", "1")))
 
 
 def _safe_name(label: str) -> str:
@@ -88,7 +91,7 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
             S=cfg.sampling.S,
             eta=cfg.server.eta,
             x_points=probes,
-            rng=RngStream(cfg.seed).derive(0x7468656F),
+            rng=RngStream(cfg.seed).derive(TAG_THEORY),
             batch_size=cfg.local.batch_size,
         )
         V = compute_V(c)
@@ -147,14 +150,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_cell(base: dict, base_dir: str, method_sec: dict, seed: int):
-    obj = copy.deepcopy(base)
-    obj["server"] = method_sec
-    obj["seed"] = seed
-    cfg = parse_config(obj, base_dir=base_dir)
-    return run_experiment(cfg)
-
-
 def cmd_compare(args) -> int:
     try:
         manifest = load_manifest(args.manifest)
@@ -162,36 +157,24 @@ def cmd_compare(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    cells = [
-        (label, sec, seed) for label, sec in manifest.methods for seed in manifest.seeds
-    ]
-
-    def work(cell):
-        label, sec, seed = cell
-        try:
-            return label, seed, _run_cell(manifest.base, manifest.base_dir, sec, seed), None
-        except FedAgmError as exc:
-            return label, seed, None, str(exc)
-
-    threads = _threads()
-    if threads == 1:
-        outcomes = [work(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, cells))
-
     by_method: dict[str, list[float]] = {label: [] for label, _ in manifest.methods}
     failures: dict[str, int] = {label: 0 for label, _ in manifest.methods}
-    any_success = False
-    for label, seed, result, error in outcomes:
-        if error is not None or result is None or result.diverged or not result.metrics:
+    for label, sec in manifest.methods:
+        for seed in manifest.seeds:
+            obj = copy.deepcopy(manifest.base)
+            obj["server"], obj["seed"] = sec, seed
+            try:
+                result = run_experiment(parse_config(obj, base_dir=manifest.base_dir))
+            except FedAgmError as exc:
+                why = str(exc)
+            else:
+                if result.metrics and not result.diverged:
+                    write_metrics(manifest.out, result.metrics, stem=f"{_safe_name(label)}_seed{seed}")
+                    by_method[label].append(result.metrics[-1].test_acc)
+                    continue
+                why = f"diverged at round {result.divergence_round}"
             failures[label] += 1
-            why = error or f"diverged at round {result.divergence_round}" if result else error
             print(f"cell {label} seed {seed}: FAILED ({why})", file=sys.stderr)
-            continue
-        any_success = True
-        write_metrics(manifest.out, result.metrics, stem=f"{_safe_name(label)}_seed{seed}")
-        by_method[label].append(result.metrics[-1].test_acc)
 
     lines = ["method,seeds,final_test_acc_mean,final_test_acc_std,failures"]
     print(f"{'method':<20} final test accuracy (mean +/- std over seeds)")
@@ -204,7 +187,7 @@ def cmd_compare(args) -> int:
         )
         print(f"{label:<20} {fmt17(mean)} +/- {fmt17(std)}  ({accs.size} seeds)")
     atomic_write_text(os.path.join(manifest.out, "summary.csv"), "\n".join(lines) + "\n")
-    return EXIT_OK if any_success else EXIT_CONFIG
+    return EXIT_OK if any(by_method.values()) else EXIT_CONFIG
 
 
 def cmd_partition_report(args) -> int:
@@ -216,21 +199,12 @@ def cmd_partition_report(args) -> int:
         dataset_sec = obj.get("dataset") or (isinstance(task_sec, dict) and task_sec.get("dataset"))
         if not isinstance(dataset_sec, dict):
             raise ConfigError("config: needs a 'dataset' object (or task.dataset)")
-        part_sec = obj.get("partition")
-        if not isinstance(part_sec, dict):
-            raise ConfigError("config: needs a 'partition' object")
-        # JSON numbers arrive as int or float; `type` also keeps out bools
-        seeds = obj.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
-            raise ConfigError(f"config.seeds: expected a nonempty list of integers, got {seeds!r}")
-        alpha_grid = obj.get("alpha_grid")
-        if alpha_grid is not None and (
-            not isinstance(alpha_grid, list) or any(type(a) not in (int, float) for a in alpha_grid)
-        ):
-            raise ConfigError(f"config.alpha_grid: expected a list of numbers, got {alpha_grid!r}")
-        out = obj.get("out", "partition-out")
-        if not isinstance(out, str):
-            raise ConfigError(f"config.out: expected a string, got {out!r}")
+        part_sec = _get_section(obj, "partition", "config")
+        seeds = _get_list(obj, "seeds", "config", default=[0], integer=True)
+        if not seeds:
+            raise ConfigError("config.seeds: expected at least one seed")
+        alpha_grid = _get_optional(_get_list, obj, "alpha_grid", "config")
+        out = _get_str(obj, "out", "config", default="partition-out")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         spec = parse_partition(part_sec, "partition")
         alphas = [spec.alpha] if alpha_grid is None else [float(a) for a in alpha_grid]
@@ -246,7 +220,7 @@ def cmd_partition_report(args) -> int:
                 part_spec = spec if alpha is None else parse_partition(
                     {**part_sec, "alpha": alpha}, "partition"
                 )
-                shards = partition(data, part_spec, RngStream(seed).derive(0x70617274))
+                shards = partition(data, part_spec, RngStream(seed).derive(TAG_PARTITION))
                 entropies.append(
                     mean_label_entropy(empirical_label_histogram(shards, data.num_classes))
                 )

@@ -67,6 +67,30 @@ def _get_int(section, key, path, default=_REQUIRED, minimum=None):
     return value
 
 
+def _get_bool(section, key, path, default=_REQUIRED):
+    value = _get(section, key, path, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false, got {value!r}")
+    return value
+
+
+def _get_list(section, key, path, default=_REQUIRED, integer=False):
+    """A list of numbers, or of integers if `integer`; a bad item is named by its index."""
+    value = _get(section, key, path, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
+    kind, expected = (int, "an integer") if integer else ((int, float), "a number")
+    for i, item in enumerate(value):
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise ConfigError(f"{path}.{key}[{i}]: expected {expected}, got {item!r}")
+    return value
+
+
+def _get_optional(reader, section, key, path, **kwargs):
+    """`reader`'s value for `key`, or None when the key is absent or null."""
+    return None if section.get(key) is None else reader(section, key, path, **kwargs)
+
+
 def _get_str(section, key, path, default=_REQUIRED, choices=None):
     value = _get(section, key, path, default)
     if not isinstance(value, str):
@@ -147,10 +171,7 @@ def parse_schedule(section: dict, path: str) -> ScheduleSpec:
     if "decay" in section:
         kwargs["decay"] = float(_get_number(section, "decay", path))
     if "fractions" in section:
-        fractions = _get(section, "fractions", path)
-        if not isinstance(fractions, list):
-            raise ConfigError(f"{path}.fractions: expected a list")
-        kwargs["fractions"] = tuple(float(f) for f in fractions)
+        kwargs["fractions"] = tuple(float(f) for f in _get_list(section, "fractions", path))
     if "patience" in section:
         kwargs["patience"] = _get_int(section, "patience", path)
     if "factor" in section:
@@ -167,7 +188,7 @@ def parse_local(section: dict, path: str) -> LocalConfig:
         batch_size=_get_int(section, "batch_size", path),
         variant=_get_str(section, "variant", path, default="sgd"),
         prox_mu=float(_get_number(section, "prox_mu", path, default=0.0)),
-        epoch_mode=bool(_get(section, "epoch_mode", path, default=False)),
+        epoch_mode=_get_bool(section, "epoch_mode", path, default=False),
     )
 
 
@@ -181,14 +202,14 @@ def parse_sampling(section: dict, path: str) -> SamplingSpec:
 
 
 def parse_partition(section: dict, path: str) -> PartitionSpec:
-    groups = _get(section, "class_groups", path, default=None)
+    groups = _get_optional(_get_list, section, "class_groups", path, integer=True)
     return _wrap(
         path,
         PartitionSpec,
         scheme=_get_str(section, "scheme", path),
         N=_get_int(section, "num_clients", path),
-        alpha=_get(section, "alpha", path, default=None),
-        classes_per_client=_get(section, "classes_per_client", path, default=None),
+        alpha=_get_optional(_get_number, section, "alpha", path),
+        classes_per_client=_get_optional(_get_int, section, "classes_per_client", path),
         balance=_get_str(section, "balance", path, default="equal"),
         class_groups=np.asarray(groups, dtype=np.int64) if groups is not None else None,
     )
@@ -232,8 +253,8 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
         N = _get_int(task_sec, "num_clients", "task", minimum=1)
         dim = _get_int(task_sec, "dim", "task", minimum=1)
         het = float(_get_number(task_sec, "heterogeneity", "task", minimum=0.0))
-        crange = _get(task_sec, "curvature_range", "task", default=[0.5, 2.0])
-        if not (isinstance(crange, list) and len(crange) == 2):
+        crange = _get_list(task_sec, "curvature_range", "task", default=[0.5, 2.0])
+        if len(crange) != 2:
             raise ConfigError("task.curvature_range: expected [low, high]")
         samples = _get_int(task_sec, "samples_per_client", "task", default=64, minimum=1)
         noise = float(_get_number(task_sec, "anchor_noise", "task", default=1.0, minimum=0.0))
@@ -336,8 +357,6 @@ def load_manifest(path: str) -> CompareManifest:
         opt = parse_server(sec, f"manifest.methods[{i}]")
         label = sec.get("label") or sec.get("name") or recover_baseline(opt)
         methods.append((str(label), sec))
-    seeds = _get(obj, "seeds", "manifest", default=[0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("manifest.seeds: expected a list of integers")
+    seeds = _get_list(obj, "seeds", "manifest", default=[0], integer=True)
     out = _get_str(obj, "out", "manifest", default="compare-out")
     return CompareManifest(base=base, methods=methods, seeds=list(seeds), out=out, base_dir=base_dir)

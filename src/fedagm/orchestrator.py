@@ -51,8 +51,12 @@ TAG_DATA = 0x64617461
 TAG_PARTITION = 0x70617274
 TAG_SAMPLE = 0x73616D70
 TAG_LOCAL = 0x6C6F636C
+TAG_THEORY = 0x7468656F
 
 SCHEDULE_KINDS = ("constant", "multistage", "plateau")
+
+# A training loss above this marks the run diverged.
+DIVERGENCE_LOSS_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,9 @@ class ScheduleSpec:
                 (defaults: x0.1 at T/2 and again at 3T/4);
     plateau     multiplier shrinks by `factor` whenever the best training
                 loss has not improved for `patience` consecutive rounds.
+
+    A stepsize that its multiplier would round to 0 keeps its last
+    positive value.
     """
 
     kind: str = "constant"
@@ -207,13 +214,15 @@ class ExperimentConfig:
     record_walltime: bool = False
     record_iterates: bool = False
     record_drift: bool = False
-    divergence_loss_cap: float = 1e12
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ParameterError("rounds must be >= 1")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be >= 1")
+        if self.record_drift and self.local.epoch_mode:
+            # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
+            raise ParameterError("record_drift cannot be combined with epoch_mode")
 
 
 @dataclass
@@ -264,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     round's `sample_round` call follows.
 
     A non-finite iterate at the start of a round, or a training loss above
-    the divergence cap, aborts the loop; the log then ends at the last
+    `DIVERGENCE_LOSS_CAP`, aborts the loop; the log then ends at the last
     logged round and the result is marked diverged. A final iterate that is
     not finite marks the run diverged at round T. The loss is computed,
     and so the cap checked, only on evaluated rounds (every `eval_every`-th
@@ -290,6 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gamma_tracker = PlateauTracker(cfg.gamma_schedule.patience)
     eta_tracker = PlateauTracker(cfg.eta_schedule.patience)
     plateau_in_use = "plateau" in (cfg.gamma_schedule.kind, cfg.eta_schedule.kind)
+    gamma_t, eta_t = cfg.local.gamma, cfg.server.eta
 
     metrics: list[RoundMetrics] = []
     iterates: list | None = [] if cfg.record_iterates else None
@@ -308,14 +318,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if want_row or plateau_in_use:
             losses, grads = client_evaluation(fed, state.x, gradients=want_row)
             train_loss = weighted_loss(p, losses)
-            if not np.isfinite(train_loss) or train_loss > cfg.divergence_loss_cap:
+            if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS_CAP:
                 diverged, divergence_round = True, t
                 break
             gamma_tracker.update(train_loss)
             eta_tracker.update(train_loss)
 
-        gamma_t = cfg.local.gamma * apply_schedule(cfg.gamma_schedule, t, T, gamma_tracker.decays)
-        eta_t = cfg.server.eta * apply_schedule(cfg.eta_schedule, t, T, eta_tracker.decays)
+        # A product that underflows to 0 keeps the last positive stepsize.
+        gamma_t = cfg.local.gamma * apply_schedule(cfg.gamma_schedule, t, T, gamma_tracker.decays) or gamma_t
+        eta_t = cfg.server.eta * apply_schedule(cfg.eta_schedule, t, T, eta_tracker.decays) or eta_t
 
         grad_norm_sq, sigma_g = (np.nan, np.nan)
         test_acc = 0.0

@@ -5,11 +5,13 @@ asserted directly; nothing here shells out.
 """
 
 import json
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
+import fedagm
 from fedagm.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from fedagm.config import build_problem, load_json_file, parse_config
 from fedagm.errors import ConfigError
@@ -373,6 +375,59 @@ class TestRunCommand:
         assert "constants" not in report
 
 
+def logistic_config(**partition):
+    return quad_config(
+        task={
+            "kind": "logistic",
+            "dataset": {"source": "blobs", "n": 60, "num_classes": 4, "num_features": 3},
+        },
+        partition={"scheme": "dirichlet", "num_clients": 4, "alpha": 1.0} | partition,
+    )
+
+
+def quad_with(section, **fields):
+    obj = quad_config()
+    obj[section] = obj.get(section, {}) | fields
+    return obj
+
+
+WRONG_TYPES = [
+    ("run", quad_with("schedules", gamma={"kind": "multistage", "fractions": ["a"]}), "schedules.gamma.fractions[0]"),
+    ("run", quad_with("schedules", eta={"kind": "multistage", "fractions": [None]}), "schedules.eta.fractions[0]"),
+    ("run", logistic_config(alpha="x"), "partition.alpha"),
+    ("run", logistic_config(scheme="sort", classes_per_client="x"), "partition.classes_per_client"),
+    ("run", logistic_config(class_groups=["a"]), "partition.class_groups[0]"),
+    ("run", logistic_config(class_groups=[0.5, 1.7]), "partition.class_groups[0]"),
+    ("run", quad_with("task", curvature_range=["a", "b"]), "task.curvature_range[0]"),
+    ("run", quad_with("local", epoch_mode="no"), "local.epoch_mode"),
+    (
+        "compare",
+        {"config": quad_config(), "methods": [{"name": "FedAvg", "eta": 1.0}], "seeds": [True]},
+        "manifest.seeds[0]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, obj, where", WRONG_TYPES, ids=[where for _, _, where in WRONG_TYPES]
+)
+def test_wrong_json_type_is_a_config_error_naming_its_path(tmp_path, capsys, command, obj, where):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, obj | ({"out": str(out)} if command == "compare" else {}))
+    argv = [command, path] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: expected ")
+    assert not out.exists()
+
+
+def test_no_module_reads_the_environment():
+    # a run is a function of its config and seed; no environment variable may change it
+    for path in sorted(pathlib.Path(fedagm.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "os.environ" not in text and "getenv" not in text, path.name
+
+
 class TestCompareCommand:
     def manifest(self, tmp_path, out):
         obj = {
@@ -412,6 +467,20 @@ class TestCompareCommand:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out1 / "FedAvg_seed1.csv").read_bytes() == (out2 / "FedAvg_seed1.csv").read_bytes()
         assert p1 != p2
+
+    def test_each_cell_matches_a_run_of_its_config(self, tmp_path):
+        out = tmp_path / "cmp"
+        path = self.manifest(tmp_path, out)
+        assert main(["compare", path]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for sec, label in zip(manifest["methods"], ("FedAvg", "adam-small-eta")):
+            for seed in manifest["seeds"]:
+                cfg = write_config(tmp_path, manifest["config"] | {"server": sec, "seed": seed})
+                run_out = tmp_path / f"run-{label}-{seed}"
+                assert main(["run", cfg, "--out", str(run_out)]) == EXIT_OK
+                for ext in ("csv", "jsonl"):
+                    cell = (out / f"{label}_seed{seed}.{ext}").read_bytes()
+                    assert cell == (run_out / f"metrics.{ext}").read_bytes()
 
     def test_compare_bad_manifest_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {"methods": []}, name="m.json")

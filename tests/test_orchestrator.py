@@ -264,6 +264,12 @@ class TestDiagnostics:
         # drift grows with k within a round on average
         assert result.drift[:, -1].mean() >= result.drift[:, 1].mean()
 
+    def test_drift_rejects_epoch_mode(self):
+        # an epoch-mode client takes ceil(20 / 4) = 5 steps; the table has K + 1 = 3 columns
+        local = LocalConfig(K=2, gamma=0.02, batch_size=4, epoch_mode=True)
+        with pytest.raises(ParameterError, match="epoch_mode"):
+            config(quadratic_problem(n=20), local=local, record_drift=True)
+
 
 class TestScaffoldIntegration:
     def test_single_client_scaffold_tracks_plain_sgd(self):
@@ -402,6 +408,29 @@ class TestSchedules:
         )
         result = run_experiment(cfg)
         assert len(result.metrics) == 4
+
+    @pytest.mark.parametrize("variant", ["sgd", "scaffold"])
+    @pytest.mark.parametrize("which", ["gamma", "eta"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScheduleSpec(kind="multistage", decay=1e-200, fractions=(0.25, 0.5)),
+            ScheduleSpec(kind="plateau", patience=1, factor=1e-200),
+        ],
+        ids=["multistage", "plateau"],
+    )
+    def test_stepsize_that_would_underflow_keeps_its_last_positive_value(self, schedule, which, variant):
+        # a second decay by 1e-200 gives a multiplier of 0.0 in float64
+        cfg = config(
+            quadratic_problem(),
+            local=LocalConfig(K=3, gamma=0.02, batch_size=6, variant=variant),
+            rounds=40,
+            **{f"{which}_schedule": schedule},
+        )
+        result = run_experiment(cfg)
+        assert not result.diverged and len(result.metrics) == 40
+        steps = [getattr(row, which) for row in result.metrics]
+        assert steps[-1] == steps[0] * 1e-200 > 0
 
     def test_schedule_validation(self):
         with pytest.raises(ParameterError):
