@@ -242,7 +242,7 @@ def run_clients(
         trajectory = [x.copy()] if record else []
         if not full:
             draws = draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
-            rows = fed.offsets[ci, None, None] + draws
+            rows = fed.starts[ci, None, None] + draws
         for k in range(steps):
             fed.gradients(ci, x, None if full else rows[:, k], out=direction, scratch=scratch)
             if cfg.variant == "prox":

@@ -220,6 +220,11 @@ class ExperimentConfig:
             raise ParameterError("rounds must be >= 1")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be >= 1")
+        if self.sampling.mode == "full" and self.sampling.S != self.problem.N:
+            raise ParameterError(
+                f"full sampling needs sampling.clients_per_round = N = {self.problem.N}, "
+                f"got {self.sampling.S}"
+            )
         if self.record_drift and self.local.epoch_mode:
             # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
             raise ParameterError("record_drift cannot be combined with epoch_mode")

@@ -83,7 +83,6 @@ class ServerState:
     m: ParamVector
     v: ParamVector
     t: int = 0
-    yogi_clamped: bool = False
 
 
 def init_server_state(x0: ParamVector) -> ServerState:
@@ -126,15 +125,14 @@ def calibrate(v: ParamVector, cal: Calibration) -> ParamVector:
 
 def _second_momentum(state: ServerState, delta_sq: np.ndarray, opt: ServerOptimizer):
     if opt.kind == "adam":
-        return opt.beta2 * state.v + (1.0 - opt.beta2) * delta_sq, False
+        return opt.beta2 * state.v + (1.0 - opt.beta2) * delta_sq
     if opt.kind == "amsgrad":
         candidate = opt.beta2 * state.v + (1.0 - opt.beta2) * delta_sq
-        return np.maximum(candidate, state.v), False
+        return np.maximum(candidate, state.v)
     if opt.kind == "yogi":
         v = state.v - (1.0 - opt.beta2) * delta_sq * np.sign(state.v - delta_sq)
-        clamped = bool(np.any(v < 0.0))
-        return np.maximum(v, 0.0), clamped
-    return state.v, False
+        return np.maximum(v, 0.0)
+    return state.v
 
 
 def server_step(
@@ -153,18 +151,12 @@ def server_step(
     if delta.shape != state.x.shape:
         raise StructuralError("delta does not match the model dimension")
     m = opt.beta1 * state.m + (1.0 - opt.beta1) * delta
-    v, clamped = _second_momentum(state, delta * delta, opt)
+    v = _second_momentum(state, delta * delta, opt)
     if opt.kind == "avg" and opt.eta == 1.0 and x_tilde is not None:
         x = np.asarray(x_tilde, dtype=np.float64).copy()
     else:
         x = state.x - (opt.eta / calibrate(v, opt.calibration)) * m
-    return ServerState(
-        x=x,
-        m=m,
-        v=v,
-        t=state.t + 1,
-        yogi_clamped=state.yogi_clamped or clamped,
-    )
+    return ServerState(x=x, m=m, v=v, t=state.t + 1)
 
 
 def recover_baseline(opt: ServerOptimizer) -> str:

@@ -194,12 +194,13 @@ def _softmax_residual(logits: np.ndarray, labels: np.ndarray, losses=None) -> np
 
 # Stacked kernels: slot s of x (S, d) over its rows feats[s] (B, p) with
 # labels[s] (B,). Every product runs per slot in one batched matmul, which
-# gives each slot the bits of the same product taken alone. The inner loop,
-# `full_gradient` and the per-client evaluation passes all run through them;
-# `evaluate` keeps its own forward pass as the reference the tests compare
-# against. The mean gradients, without weight decay, are written into
-# out (S, d); with `losses` (S,), the slots' mean losses from the same
-# forward pass go there.
+# gives each slot the bits of the same product taken alone. The inner loop
+# (`StackedFederation.gradients`, over gathered rows), `full_gradient` and
+# the evaluation pass (`client_evaluation`, over views of the size-ordered
+# rows) all run through them; `evaluate` keeps its own forward pass as the
+# reference the tests compare against. The mean gradients, without weight
+# decay, are written into out (S, d); with `losses` (S,), the slots' mean
+# losses from the same forward pass go there.
 
 
 def _quadratic_grad(curvature, target, x, out=None):
@@ -360,17 +361,20 @@ def check_federation(tasks: list[Task], datasets: list[Dataset]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StackedFederation:
-    """Every client's rows in one array, in client order.
+    """Every client's rows in one array, ordered by (shard size, client).
 
-    Client i owns rows `offsets[i]:offsets[i + 1]` of `features` and
-    `labels`. Data-driven kinds share `task`; quadratics carry per-client
-    `curvature` and `center` of shape (N, d). `weight_decay` is per client.
+    Client i owns rows `starts[i]:starts[i] + sizes[i]` of `features` and
+    `labels`. The clients of one shard size own one block of rows in id
+    order, so each size group is a view of it (`size_groups`). Data-driven
+    kinds share `task`; quadratics carry per-client `curvature` and
+    `center` of shape (N, d). `weight_decay` is per client.
     """
 
     task: Task
     features: np.ndarray
     labels: np.ndarray
-    offsets: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
     weight_decay: np.ndarray
     curvature: np.ndarray | None = None
     center: np.ndarray | None = None
@@ -379,11 +383,16 @@ class StackedFederation:
     def build(cls, tasks: list[Task], datasets: list[Dataset]) -> "StackedFederation":
         check_federation(tasks, datasets)
         quadratic = isinstance(tasks[0], QuadraticTask)
+        sizes = np.array([data.n for data in datasets], dtype=np.int64)
+        order = np.argsort(sizes, kind="stable")
+        starts = np.empty_like(sizes)
+        starts[order] = np.cumsum(sizes[order]) - sizes[order]
         return cls(
             task=tasks[0],
-            features=np.concatenate([data.features for data in datasets]),
-            labels=np.concatenate([data.labels for data in datasets]),
-            offsets=np.concatenate([[0], np.cumsum([data.n for data in datasets])]),
+            features=np.concatenate([datasets[i].features for i in order]),
+            labels=np.concatenate([datasets[i].labels for i in order]),
+            sizes=sizes,
+            starts=starts,
             weight_decay=np.array([task.weight_decay for task in tasks], dtype=np.float64),
             curvature=np.stack([t.curvature for t in tasks]) if quadratic else None,
             center=np.stack([t.center for t in tasks]) if quadratic else None,
@@ -391,15 +400,11 @@ class StackedFederation:
 
     @property
     def N(self) -> int:
-        return self.offsets.size - 1
+        return self.sizes.size
 
     @property
     def dim(self) -> int:
         return self.task.dim
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
     @cached_property
     def shared_decay(self) -> float | None:
@@ -408,112 +413,106 @@ class StackedFederation:
         first = self.weight_decay[0]
         return float(first) if np.all(self.weight_decay == first) else None
 
-    def size_groups(self, clients: np.ndarray):
-        """Per shard size n among `clients`: the positions in `clients` that
-        hold n rows, their features (S, n, p) and their labels (S, n)."""
-        # a dict, not np.unique, which imports numpy.ma on first use
-        groups: dict[int, list[int]] = {}
-        for s, n in enumerate(self.sizes[clients].tolist()):
-            groups.setdefault(n, []).append(s)
-        for n, slots in groups.items():
-            ci = clients[slots]
-            if np.all(np.diff(ci) == 1):
-                # consecutive clients own one block of rows: a view, no gather
-                rows = slice(self.offsets[ci[0]], self.offsets[ci[0]] + ci.size * n)
-            else:
-                rows = self.offsets[ci, None] + np.arange(n)
-            shape = (ci.size, n)
-            yield slots, self.features[rows].reshape(*shape, -1), self.labels[rows].reshape(shape)
+    @cached_property
+    def size_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per shard size n, ascending: the ids of the clients with n rows in
+        ascending order, and views of their features (S, n, p) and labels
+        (S, n)."""
+        order = np.argsort(self.sizes, kind="stable")
+        groups = []
+        for ci in np.split(order, np.flatnonzero(np.diff(self.sizes[order])) + 1):
+            shape, lo = (ci.size, int(self.sizes[ci[0]])), int(self.starts[ci[0]])
+            rows = slice(lo, lo + ci.size * shape[1])
+            feats = self.features[rows].reshape(*shape, -1)
+            groups.append((ci, feats, self.labels[rows].reshape(shape)))
+        return groups
 
-    def gradients(self, clients, x, rows=None, out=None, losses=None, scratch=None) -> np.ndarray:
+    def gradients(self, clients, x, rows=None, out=None, scratch=None) -> np.ndarray:
         """(S, d) gradients, weight decay included, written into out if given.
 
         Row s is client `clients[s]`'s mean gradient at `x[s]` over the
-        global rows `rows[s]`; with rows None, over all of its data
-        (analytic for quadratics), one batched kernel call per shard size.
-        With rows None, a data task can also write each client's mean loss
-        over its data into `losses` (S,), from the same forward pass.
-        `scratch`, an (S, d) buffer a caller reuses across calls, takes the
-        weight-decay term when the points differ; a temporary if None.
+        global rows `rows[s]`; with rows None, over all of its data (a data
+        task's clients must then share one shard size; quadratics are
+        analytic). `scratch`, an (S, d) buffer a caller reuses across
+        calls, takes a shared weight-decay term; a temporary if None.
         """
         clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
-        kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
-        if losses is not None and (rows is not None or self.curvature is not None):
-            raise StructuralError("losses come only with full-data gradients of a data task")
-        if rows is not None:
+        if rows is None and self.curvature is None:
+            sizes = self.sizes[clients]
+            if np.any(sizes != sizes[0]):
+                raise StructuralError("full-data gradients need clients of one shard size")
+            rows = self.starts[clients, None] + np.arange(sizes[0])
+        elif rows is not None:
             # a gather keeps the index array's memory order, and the products
             # over column-major rows can round differently from row-major ones
             rows = np.ascontiguousarray(rows)
         if self.curvature is not None:
             target = self.center[clients] if rows is None else self.features[rows].mean(axis=1)
             _quadratic_grad(self.curvature[clients], target, x, out=out)
-        elif rows is not None:
-            kernel(self.task, self.features[rows], self.labels[rows], x, out)
         else:
-            for slots, feats, labels in self.size_groups(clients):
-                if len(slots) == clients.size:
-                    kernel(self.task, feats, labels, x, out, losses)
-                    continue
-                # a shared point (stride 0, from client_gradients) needs no gather
-                xs = x[: len(slots)] if x.strides[0] == 0 else x[slots]
-                group = None if losses is None else np.empty(len(slots))
-                out[slots] = kernel(self.task, feats, labels, xs, np.empty(xs.shape), group)
-                if losses is not None:
-                    losses[slots] = group
+            kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
+            kernel(self.task, self.features[rows], self.labels[rows], x, out)
         decay = self.shared_decay
         if decay is None:
             out += self.weight_decay[clients, None] * x
         elif decay != 0.0:
-            # one lambda for all: a shared point (stride 0) forms lambda * x once
-            out += decay * x[0] if x.strides[0] == 0 else np.multiply(x, decay, out=scratch)
+            out += np.multiply(x, decay, out=scratch)
         return out
-
-
-# The passes below run the stacked kernels once per shard-size group of
-# clients, so every client's loss and gradient keep the bits of `evaluate`
-# and `full_gradient` on that client alone.
-
-
-def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
-    """(N,) mean loss of every client at x, forward passes only; entry i
-    equals evaluate(task_i, data_i, x)[0]."""
-    x = _check_dim(fed.task, x)
-    losses = np.empty(fed.N)
-    for slots, feats, labels in fed.size_groups(np.arange(fed.N)):
-        if fed.curvature is not None:
-            curvature = fed.curvature[slots, :, None]
-            dx = x - feats
-            dz = feats - fed.center[slots, None]
-            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
-        else:
-            logits = _logits(fed.task, feats, np.broadcast_to(x, (len(slots), x.size)))[0]
-            # negating before the sum is exact: rounding is symmetric in sign
-            sample = -_label_log_probs(logits, labels)
-        losses[slots] = _mean_losses(sample)
-    return losses
-
-
-def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
-    """(N, d) stack of the clients' full gradients at x; row i equals
-    full_gradient(task_i, data_i, x)."""
-    x = _check_dim(fed.task, x)
-    return fed.gradients(np.arange(fed.N), np.broadcast_to(x, (fed.N, x.size)))
 
 
 def client_evaluation(
     fed: StackedFederation, x: ParamVector, gradients: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """`client_losses` and, with gradients, `client_gradients` at x, bit for
-    bit; a data task takes both from one forward pass per shard-size group."""
+    """Every client's mean loss at x and, with gradients, its full gradient:
+    entry i equals evaluate(task_i, data_i, x)[0] and row i
+    full_gradient(task_i, data_i, x), bit for bit.
+
+    One pass over the shard-size groups, each a view of the stacked rows
+    run through the stacked kernels; a data task takes a group's losses and
+    gradients from one forward pass.
+    """
     x = _check_dim(fed.task, x)
-    if not gradients:
-        return client_losses(fed, x), None
-    if fed.curvature is not None:
-        return client_losses(fed, x), client_gradients(fed, x)
+    kernel = _logistic_grad if isinstance(fed.task, LogisticRegressionTask) else _mlp_grad
     losses = np.empty(fed.N)
-    grads = fed.gradients(np.arange(fed.N), np.broadcast_to(x, (fed.N, x.size)), losses=losses)
+    grads = np.empty((fed.N, x.size)) if gradients else None
+    for ci, feats, labels in fed.size_groups:
+        xs = np.broadcast_to(x, (ci.size, x.size))
+        if fed.curvature is not None:
+            curvature = fed.curvature[ci, :, None]
+            dx = x - feats
+            dz = feats - fed.center[ci, None]
+            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
+            losses[ci] = _mean_losses(sample)
+        elif not gradients:
+            # negating before the sum is exact: rounding is symmetric in sign
+            sample = -_label_log_probs(_logits(fed.task, feats, xs)[0], labels)
+            losses[ci] = _mean_losses(sample)
+        elif ci.size == fed.N:
+            kernel(fed.task, feats, labels, xs, grads, losses)
+        else:
+            group = np.empty(ci.size)
+            grads[ci] = kernel(fed.task, feats, labels, xs, np.empty(xs.shape), group)
+            losses[ci] = group
+    if gradients:
+        if fed.curvature is not None:
+            _quadratic_grad(fed.curvature, fed.center, x, out=grads)
+        decay = fed.shared_decay
+        if decay is None:
+            grads += fed.weight_decay[:, None] * x
+        elif decay != 0.0:
+            grads += decay * x
     return losses, grads
+
+
+def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
+    """(N,) mean loss of every client at x, forward passes only."""
+    return client_evaluation(fed, x, gradients=False)[0]
+
+
+def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
+    """(N, d) stack of the clients' full gradients at x."""
+    return client_evaluation(fed, x)[1]
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

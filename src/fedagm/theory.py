@@ -452,7 +452,7 @@ def _minibatch_noise(
     noise = np.empty(draws)
     sigma_sq = np.zeros(fed.N)
     for i in range(fed.N):
-        rows = fed.offsets[i] + picks_of[i] if i in picks_of else None
+        rows = fed.starts[i] + picks_of[i] if i in picks_of else None
         for lo in range(0, draws, _NOISE_CHUNK):
             hi = min(lo + _NOISE_CHUNK, draws)
             grads = fed.gradients(

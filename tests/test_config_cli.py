@@ -290,6 +290,17 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config.server" in capsys.readouterr().err
 
+    def test_full_sampling_of_fewer_clients_exits_1(self, tmp_path, capsys):
+        # caught when the config is built, not by sample_round at round 0
+        obj = quad_config(sampling={"clients_per_round": 3, "mode": "full"})
+        obj["task"]["num_clients"] = 5
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ")
+        assert "sampling.clients_per_round = N = 5, got 3" in err
+        assert not out.exists()
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         obj = quad_config(rounds=60, server={"name": "FedAvg", "eta": 1.0})
         obj["local"]["gamma"] = 50.0

@@ -31,6 +31,7 @@ from fedagm import (
     run_experiment,
     stochastic_gradient,
 )
+from fedagm.config import parse_config
 from fedagm.orchestrator import TAG_INIT, TAG_LOCAL
 from fedagm.serialize import metrics_to_csv
 
@@ -473,8 +474,45 @@ class TestDivergence:
         assert result.diverged and result.divergence_round == 1
         assert [row.t for row in result.metrics] == [0]
 
+    @quiet_overflow
+    @pytest.mark.parametrize("every, stop, logged", [(1, 3, [0, 1, 2]), (2000, 29, [0])])
+    def test_loss_cap_is_checked_only_on_evaluated_rounds(self, every, stop, logged):
+        # The rule as it stands, pinned: the loss cap is checked on evaluated
+        # rounds, so a sparse log finds the divergence late and the rounds in
+        # between run on a blown-up iterate until it stops being finite.
+        # The config is the benchmark's quadratic race (FedAvg, seed 1) with
+        # gamma = 5 and 30 rounds.
+        obj = {
+            "seed": 1,
+            "rounds": 30,
+            "eval_every": every,
+            "task": {
+                "kind": "quadratic",
+                "num_clients": 20,
+                "dim": 4,
+                "heterogeneity": 1.0,
+                "samples_per_client": 16,
+            },
+            "local": {"steps": 3, "gamma": 5.0, "batch_size": 8},
+            "sampling": {"clients_per_round": 5},
+            "schedules": {"gamma": {"kind": "multistage"}},
+            "server": {"name": "FedAvg", "eta": 1.0},
+        }
+        result = run_experiment(parse_config(obj))
+        assert result.diverged and result.divergence_round == stop
+        assert [row.t for row in result.metrics] == logged
+
 
 class TestProblemValidation:
+    @pytest.mark.parametrize("S", [1, 4, 6])
+    def test_full_sampling_needs_every_client(self, S):
+        # such a config used to pass here and fail in sample_round at round 0
+        problem = quadratic_problem(N=5)
+        with pytest.raises(ParameterError, match="clients_per_round = N = 5, got " + str(S)):
+            config(problem, sampling=SamplingSpec(S=S, mode="full"))
+        config(problem, sampling=SamplingSpec(S=5, mode="full"))
+        config(problem, sampling=SamplingSpec(S=S))
+
     def test_weight_sum_enforced(self):
         task = QuadraticTask(np.ones(2), np.zeros(2))
         data = make_quadratic_client_data(task, 4, 1.0, RngStream(0))

@@ -209,7 +209,6 @@ class TestMomenta:
             v_ref = v_ref - (1 - b2) * d_sq * np.sign(v_ref - d_sq)
             np.testing.assert_allclose(state.v, v_ref, atol=1e-15)
             assert np.all(state.v >= 0)
-            assert state.yogi_clamped is False
 
 
 class TestServerStep:

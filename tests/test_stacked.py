@@ -243,12 +243,6 @@ class TestStackedEval:
         stack = np.stack([full_gradient(t, d, x) for t, d in zip(tasks, datasets)])
         np.testing.assert_array_equal(grads, stack)
 
-    def test_losses_come_only_with_full_data_gradients(self):
-        tasks, datasets = federation("quadratic", [4, 4], 0)
-        fed = StackedFederation.build(tasks, datasets)
-        with pytest.raises(StructuralError):
-            fed.gradients([0, 1], np.zeros((2, fed.dim)), losses=np.empty(2))
-
     def test_shared_decay_is_read_from_the_clients(self):
         assert StackedFederation.build(*federation("quadratic", [4, 4], 0)).shared_decay is None
         same = federation("quadratic", [4, 4], 0, decay=0.3)
@@ -256,19 +250,60 @@ class TestStackedEval:
         assert StackedFederation.build(*federation("mlp", [4, 4], 0)).shared_decay == 0.01
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("sizes", [(3, 5), (5, 3)])
-    def test_gradients_without_rows_use_each_clients_own_size(self, kind, sizes):
-        # every slot used to take the first slot's row count: a wrong row
-        # for sizes (3, 5), an IndexError for (5, 3)
-        tasks, datasets = federation(kind, sizes, 4)
+    def test_gradients_without_rows_need_one_shard_size(self, kind):
+        # rows=None takes each slot's full data: one (S, n) block of rows,
+        # so a data task's clients must share n; quadratics are analytic
+        tasks, datasets = federation(kind, (5, 3, 5), 4)
         fed = StackedFederation.build(tasks, datasets)
-        clients = [1, 0, 1, 1]
-        x = 0.2 * np.random.default_rng(7).normal(size=(len(clients), fed.dim))
-        grads = fed.gradients(clients, x, None)
-        for s, c in enumerate(clients):
-            np.testing.assert_array_equal(grads[s], full_gradient(tasks[c], datasets[c], x[s]))
+        x = 0.2 * np.random.default_rng(7).normal(size=(4, fed.dim))
+        same, mixed = [2, 0, 2, 0], [1, 0, 1, 1]
+        if kind == "quadratic":
+            cases = (same, mixed)
+        else:
+            cases = (same,)
+            with pytest.raises(StructuralError, match="one shard size"):
+                fed.gradients(mixed, x)
+        for clients in cases:
+            grads = fed.gradients(clients, x)
+            for s, c in enumerate(clients):
+                np.testing.assert_array_equal(grads[s], full_gradient(tasks[c], datasets[c], x[s]))
 
     def test_view_is_built_once_per_problem(self):
         problem = self.problem("logistic")
         assert problem.stacked is problem.stacked
         np.testing.assert_array_equal(problem.stacked.sizes, self.SIZES)
+
+
+class TestRowLayout:
+    @given(
+        kind=st.sampled_from(KINDS),
+        sizes=st.lists(st.sampled_from([1, 2, 5]) | st.integers(1, 12), min_size=1, max_size=10),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_ordered_by_shard_size_and_groups_are_views(self, kind, sizes, seed):
+        # unsorted, repeated and one-row shard sizes
+        tasks, datasets = federation(kind, sizes, seed)
+        fed = StackedFederation.build(tasks, datasets)
+        np.testing.assert_array_equal(fed.sizes, sizes)
+        for i, data in enumerate(datasets):
+            rows = slice(fed.starts[i], fed.starts[i] + sizes[i])
+            np.testing.assert_array_equal(fed.features[rows], data.features)
+            np.testing.assert_array_equal(fed.labels[rows], data.labels)
+        # the clients' row ranges tile [0, total) exactly once
+        covered = np.concatenate([np.arange(lo, lo + n) for lo, n in zip(fed.starts, sizes)])
+        assert len(fed.features) == len(fed.labels) == sum(sizes)
+        np.testing.assert_array_equal(np.sort(covered), np.arange(sum(sizes)))
+
+        seen, group_sizes = [], []
+        for ci, feats, labels in fed.size_groups:
+            n = sizes[ci[0]]
+            assert all(sizes[c] == n for c in ci) and np.all(np.diff(ci) > 0)
+            np.testing.assert_array_equal(feats, np.stack([datasets[c].features for c in ci]))
+            np.testing.assert_array_equal(labels, np.stack([datasets[c].labels for c in ci]))
+            assert np.shares_memory(feats, fed.features) and np.shares_memory(labels, fed.labels)
+            seen += ci.tolist()
+            group_sizes.append(n)
+        assert sorted(seen) == list(range(len(sizes)))
+        assert group_sizes == sorted(set(sizes))
+        assert fed.size_groups is fed.size_groups
