@@ -339,6 +339,8 @@ class CompareManifest:
 
 def load_manifest(path: str) -> CompareManifest:
     obj = load_json_file(path)
+    if not isinstance(obj, dict):
+        raise ConfigError("manifest: expected a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
     base = _get(obj, "config", "manifest")
     if isinstance(base, str):

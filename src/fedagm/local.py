@@ -95,13 +95,6 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _TWO32 = np.uint64(1 << 32)
 
 
-def words32(gen: np.random.Generator, count: int) -> np.ndarray:
-    """The next `count` 32-bit words of a fresh PCG64 generator, as uint64,
-    in the order its `next_uint32` hands them out: low half of each 64-bit
-    output, then its high half."""
-    return _split32(gen.bit_generator.random_raw((count + 1) // 2), count)
-
-
 def _split32(raw: np.ndarray, count: int) -> np.ndarray:
     """The first `count` 32-bit halves along the last axis of 64-bit words, low half first."""
     return raw.astype("<u8").view("<u4")[..., :count].astype(np.uint64)
@@ -120,8 +113,10 @@ def choice_from_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lane l's `choice(sizes[l], batch, replace=False)` from its 2*batch - 1 words.
 
-    `words` is (lanes, 2*batch - 1) from `words32`: Floyd's sampling takes
-    the first `batch` words, the Fisher-Yates shuffle the other batch - 1.
+    `words` is (lanes, 2*batch - 1) 32-bit words as uint64, in the order a
+    PCG64 generator's `next_uint32` hands them out (low half of each 64-bit
+    output, then its high half): Floyd's sampling takes the first `batch`
+    words, the Fisher-Yates shuffle the other batch - 1.
     Returns (lanes, batch) row-major int64 indices and a (lanes,) flag that
     is False where they are not `choice`'s: a word was rejected, or `choice`
     would take its tail-shuffle branch (sizes above 10000, batch above

@@ -134,13 +134,11 @@ def gradient_summary(p: np.ndarray, grads: np.ndarray) -> tuple[float, float]:
     return float(mean @ mean), sigma_g
 
 
-def weighted_dissimilarity(
-    grads: np.ndarray, p: np.ndarray, w: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """(p-weighted mean gradient, sum_i w_i ||grad_i - mean||^2); w defaults to p."""
+def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """(p-weighted mean gradient, sum_i p_i ||grad_i - mean||^2)."""
     mean = p @ grads
     gaps = ((grads - mean) ** 2).sum(axis=1)
-    return mean, float((p if w is None else w) @ gaps)
+    return mean, float(p @ gaps)
 
 
 @dataclass
@@ -228,6 +226,12 @@ class ExperimentConfig:
         if self.record_drift and self.local.epoch_mode:
             # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
             raise ParameterError("record_drift cannot be combined with epoch_mode")
+        if self.init_x is not None:
+            x0 = np.asarray(self.init_x, dtype=np.float64)
+            if x0.shape != (self.problem.dim,):
+                raise StructuralError("init_x does not match the model dimension")
+            if not np.all(np.isfinite(x0)):
+                raise ParameterError("init_x must be finite")
 
 
 @dataclass
@@ -260,10 +264,7 @@ def initial_point(cfg: ExperimentConfig) -> np.ndarray:
     """The run's x0: a copy of `init_x` if given, else drawn from the seed."""
     if cfg.init_x is None:
         return init_params(cfg.problem.client_tasks[0], RngStream(cfg.seed).derive(TAG_INIT))
-    x0 = np.asarray(cfg.init_x, dtype=np.float64).copy()
-    if x0.shape != (cfg.problem.dim,):
-        raise StructuralError("init_x does not match the model dimension")
-    return x0
+    return np.array(cfg.init_x, dtype=np.float64)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -277,14 +278,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     come from one `client_evaluation` pass over the clients, which the
     round's `sample_round` call follows.
 
-    A non-finite iterate at the start of a round, or a training loss above
-    `DIVERGENCE_LOSS_CAP`, aborts the loop; the log then ends at the last
-    logged round and the result is marked diverged. A final iterate that is
-    not finite marks the run diverged at round T. The loss is computed,
-    and so the cap checked, only on evaluated rounds (every `eval_every`-th
-    and the last), or on every round when a plateau schedule is in use, so
-    a run can take up to `eval_every - 1` more rounds after its loss passed
-    the cap.
+    A server step that leaves the iterate non-finite in round t marks the
+    run diverged at round t + 1, and a training loss above
+    `DIVERGENCE_LOSS_CAP` in round t marks it diverged at round t; either
+    aborts the loop, and the log then ends at the last logged round. The
+    iterate is checked every round. The loss is computed, and so the cap
+    checked, only on evaluated rounds (every `eval_every`-th and the last),
+    or on every round when a plateau schedule is in use, so a run can take
+    up to `eval_every - 1` more rounds after its loss passed the cap.
 
     For the scaffold variant the round loop owns all SCAFFOLD state: one
     (N, d) table of client variates, zero at the start. Each round hands
@@ -314,10 +315,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for t in range(T):
         t_start = time.perf_counter()
-        if not np.all(np.isfinite(state.x)):
-            diverged, divergence_round = True, t
-            break
-
         want_row = (t % cfg.eval_every == 0) or t == T - 1
         train_loss = np.nan
         if want_row or plateau_in_use:
@@ -388,9 +385,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     wall_ms=wall,
                 )
             )
+        if not np.all(np.isfinite(state.x)):
+            diverged, divergence_round = True, t + 1
+            break
 
-    if not diverged and not np.all(np.isfinite(state.x)):
-        diverged, divergence_round = True, T
     if iterates is not None and not diverged:
         iterates.append(state.x.copy())
     return ExperimentResult(

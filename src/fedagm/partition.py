@@ -60,6 +60,8 @@ class PartitionSpec:
                 raise ParameterError("sort scheme needs classes_per_client >= 1")
         if self.class_groups is not None:
             self.class_groups = np.asarray(self.class_groups, dtype=np.int64)
+            if np.any(self.class_groups < 0):
+                raise ParameterError("class_groups must hold group ids >= 0")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .local import choice_from_words, words32
+from .local import draw_minibatches
 from .numerics import RngStream, as_generator
 from .orchestrator import weighted_dissimilarity
 from .sampling import check_weights
@@ -156,29 +156,24 @@ def empirical_sigma_g(
     tasks: list[Task],
     shards,
     x_points: list[np.ndarray],
-    mean: str = "weighted",
 ) -> float:
     """Largest probed value of the client-gradient dissimilarity.
 
-    At each probe x: sum_i w_i ||grad f_i(x) - grad f(x)||^2 where grad f is
-    the p-weighted mean gradient and w is p ("weighted") or 1/N ("uniform").
-    A sampled lower estimate of sigma_g^2.
+    At each probe x: sum_i p_i ||grad f_i(x) - grad f(x)||^2 where grad f is
+    the p-weighted mean gradient. A sampled lower estimate of sigma_g^2.
     """
     if not x_points:
         raise ParameterError("need at least one probe point")
-    if mean not in ("weighted", "uniform"):
-        raise ParameterError(f"unknown mean semantics {mean!r}")
     p = np.array([shard.weight for shard in shards])
-    w = p if mean == "weighted" else np.full(p.size, 1.0 / p.size)
     fed = StackedFederation.build(tasks, [shard.data for shard in shards])
     worst = 0.0
     for x in x_points:
-        _, value = weighted_dissimilarity(client_gradients(fed, x), p, w)
+        _, value = weighted_dissimilarity(client_gradients(fed, x), p)
         worst = max(worst, value)
     return worst
 
 
-def quadratic_sigma_g_exact(tasks, p: np.ndarray, mean: str = "weighted") -> float:
+def quadratic_sigma_g_exact(tasks, p: np.ndarray) -> float:
     """Exact dissimilarity for equal-curvature diagonal quadratics.
 
     With a shared curvature a, grad f_i - grad f = a * (cbar - c_i) for every
@@ -189,10 +184,10 @@ def quadratic_sigma_g_exact(tasks, p: np.ndarray, mean: str = "weighted") -> flo
         if not np.array_equal(task.curvature, a0) or task.weight_decay != tasks[0].weight_decay:
             raise ParameterError("exact dissimilarity needs identical curvature on all clients")
     centers = np.stack([task.center for task in tasks])
-    cbar = np.asarray(p) @ centers
+    p = np.asarray(p)
+    cbar = p @ centers
     gaps = ((a0 * (cbar - centers)) ** 2).sum(axis=1)
-    w = np.asarray(p) if mean == "weighted" else np.full(len(tasks), 1.0 / len(tasks))
-    return float(np.dot(w, gaps))
+    return float(np.dot(p, gaps))
 
 
 def probe_gradient_bounds(
@@ -367,10 +362,10 @@ def estimate_problem_constants(
     Quadratic federations get analytic smoothness and per-client noise; the
     other task kinds are probed empirically (gradient Lipschitz ratio over
     consecutive probes, minibatch-noise sample variance at the first probe,
-    drawn from the start of `rng`). G_i and sigma_g are always probe maxima,
-    so they are lower estimates of the true suprema. Each probe's
-    client-gradient stack is built once, reduced, and dropped before the
-    next probe is stacked.
+    client i drawing from the start of its own stream `rng.derive(i)`). G_i
+    and sigma_g are always probe maxima, so they are lower estimates of the
+    true suprema. Each probe's client-gradient stack is built once, reduced,
+    and dropped before the next probe is stacked.
     """
     if not x_points:
         raise ParameterError("need at least one probe point")
@@ -426,38 +421,25 @@ def _minibatch_noise(
 ) -> np.ndarray:
     """Per-client root-mean-square distance of minibatch gradients from exact[i] at x.
 
-    Client i's `draws` minibatches are the ones `draws` calls of
-    `stochastic_gradient(task_i, data_i, x, min(batch_size, n_i), gen)` would
-    take, client after client, from one generator of `rng`; a client with no
-    more than batch_size rows takes its full gradient and consumes no words.
-    Gradients are stacked _NOISE_CHUNK draws at a time: a (draws, d) stack
-    costs as much time and raised the peak memory of a d=35.6k run by 2.7 MB.
+    Client i's `draws` minibatches are the ones `draws` sequential calls of
+    `stochastic_gradient(task_i, data_i, x, batch_size, gen)` would take with
+    `gen = rng.derive(i).generator()`, one stream per client as in the inner
+    loop, all drawn at once by `draw_minibatches`. A client with no more than
+    batch_size rows would take its full gradient, so its noise is 0 and costs
+    no gradient call. Gradients are stacked _NOISE_CHUNK draws at a time: a
+    (draws, d) stack costs as much time and raised the peak memory of a
+    d=35.6k run by 2.7 MB.
     """
-    sizes = fed.sizes
-    sampled = np.flatnonzero(sizes > batch_size)
-    picks_of = {}
-    if sampled.size:
-        per_draw = 2 * batch_size - 1
-        lane_sizes = np.repeat(sizes[sampled], draws)
-        words = words32(rng.generator(), lane_sizes.size * per_draw)
-        picks, ok = choice_from_words(
-            words.reshape(lane_sizes.size, per_draw), lane_sizes, batch_size
-        )
-        if not ok.all():
-            # a rejected word shifts every later draw: take them all with choice
-            gen = rng.generator()
-            picks = np.stack([gen.choice(n, size=batch_size, replace=False) for n in lane_sizes])
-        picks_of = dict(zip(sampled.tolist(), picks.reshape(sampled.size, draws, batch_size)))
+    sampled = np.flatnonzero(fed.sizes > batch_size)
+    picks = draw_minibatches(rng.derive_lanes(sampled), fed.sizes[sampled], batch_size, draws)
+    rows = fed.starts[sampled, None, None] + picks
     xs = np.broadcast_to(x, (_NOISE_CHUNK, x.size))
     noise = np.empty(draws)
     sigma_sq = np.zeros(fed.N)
-    for i in range(fed.N):
-        rows = fed.starts[i] + picks_of[i] if i in picks_of else None
+    for i, client_rows in zip(sampled, rows):
         for lo in range(0, draws, _NOISE_CHUNK):
             hi = min(lo + _NOISE_CHUNK, draws)
-            grads = fed.gradients(
-                np.full(hi - lo, i), xs[: hi - lo], None if rows is None else rows[lo:hi]
-            )
+            grads = fed.gradients(np.full(hi - lo, i), xs[: hi - lo], client_rows[lo:hi])
             # in place, (g - exact_i) ** 2 per draw; row sums give np.sum's bits
             grads -= exact[i]
             grads *= grads

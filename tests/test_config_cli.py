@@ -301,6 +301,15 @@ class TestRunCommand:
         assert "sampling.clients_per_round = N = 5, got 3" in err
         assert not out.exists()
 
+    def test_negative_class_group_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, logistic_config(class_groups=[-1, 0, 1, 1]))
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: partition: ")
+        assert "class_groups" in err
+        assert not out.exists()
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         obj = quad_config(rounds=60, server={"name": "FedAvg", "eta": 1.0})
         obj["local"]["gamma"] = 50.0
@@ -497,6 +506,12 @@ class TestCompareCommand:
         path = write_config(tmp_path, {"methods": []}, name="m.json")
         assert main(["compare", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj", ["config", [1, 2], 3])
+    def test_manifest_must_be_an_object(self, tmp_path, capsys, obj):
+        path = write_config(tmp_path, obj, name="m.json")
+        assert main(["compare", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: manifest: expected a JSON object\n"
 
     def test_compare_reports_per_cell_failures(self, tmp_path, capsys):
         obj = {

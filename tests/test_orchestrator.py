@@ -584,9 +584,16 @@ class TestProblemValidation:
 
     def test_init_x_shape_checked(self):
         problem = quadratic_problem()
-        cfg = config(problem, init_x=np.zeros(problem.dim + 1))
         with pytest.raises(StructuralError):
-            run_experiment(cfg)
+            config(problem, init_x=np.zeros(problem.dim + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_init_x_must_be_finite(self, bad):
+        problem = quadratic_problem()
+        x0 = np.zeros(problem.dim)
+        x0[-1] = bad
+        with pytest.raises(ParameterError, match="init_x"):
+            config(problem, init_x=x0)
 
     def test_init_x_is_used_and_not_aliased(self):
         problem = quadratic_problem()

@@ -206,6 +206,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             PartitionSpec("sort", N=4)  # classes_per_client required
 
+    def test_negative_class_group_ids(self):
+        with pytest.raises(ParameterError, match="class_groups"):
+            PartitionSpec("dirichlet", N=4, alpha=1.0, class_groups=[-1, 0, 1])
+
 
 class TestHistogramAndReport:
     def test_single_client_recovers_global_prior(self):

@@ -21,7 +21,7 @@ from fedagm import (
     run_clients,
     run_local,
 )
-from fedagm.local import choice_from_words, draw_minibatches, words32
+from fedagm.local import choice_from_words, draw_minibatches
 
 
 def sequential(stream, n, batch, steps):
@@ -81,7 +81,9 @@ def test_a_rejected_word_is_redrawn_with_choice():
     # 200 from 10000: the vectorised pass gets that draw wrong and flags it.
     stream, n, batch, steps = RngStream(2024, 2123), 10000, 200, 4
     per_draw = 2 * batch - 1
-    words = words32(stream.generator(), steps * per_draw)
+    # 32-bit words in next_uint32's order: low half of each 64-bit output first
+    raw64 = stream.generator().bit_generator.random_raw((steps * per_draw + 1) // 2)
+    words = raw64.astype("<u8").view("<u4")[: steps * per_draw].astype(np.uint64)
     raw, exact = choice_from_words(words.reshape(steps, per_draw), np.full(steps, n), batch)
     reference = sequential(stream, n, batch, steps)
     assert exact.tolist() == [True, True, True, False]
@@ -110,6 +112,12 @@ def test_flagged_slots_get_choices_bits(monkeypatch):
 
     monkeypatch.setattr(fedagm.local, "choice_from_words", flag_slot_one)
     assert_matches_choice([RngStream(1, s) for s in range(3)], [30, 12, 40], 4, 3)
+
+
+def test_zero_streams_give_zero_draws():
+    draws = draw_minibatches(StreamBatch.of([]), np.zeros(0, dtype=np.int64), 3, 4)
+    assert draws.shape == (0, 4, 3)
+    assert draws.dtype == np.int64
 
 
 def test_population_must_exceed_the_batch():

@@ -449,10 +449,10 @@ class TestClientGradientStack:
             gap = math.sqrt(float(np.sum((a - b) ** 2)))
             L = max(L, math.sqrt(float(np.sum((ga - gb) ** 2))) / gap)
         assert c.L == L
-        # sigma_i: minibatch noise at the first probe, drawn from the same stream
-        gen = RngStream(9).generator()
+        # sigma_i: minibatch noise at the first probe, client i drawing from stream 9's child i
         sigma_sq = []
-        for task, shard in zip(tasks, shards):
+        for i, (task, shard) in enumerate(zip(tasks, shards)):
+            gen = RngStream(9).derive(i).generator()
             exact = full_gradient(task, shard.data, probes[0])
             draws = [
                 np.sum((stochastic_gradient(task, shard.data, probes[0], 8, gen).grad - exact) ** 2)
@@ -489,9 +489,9 @@ class TestMinibatchNoise:
 
     @staticmethod
     def reference(problem, x, exact, batch_size, rng, draws):
-        gen = rng.generator()
         sigma_sq = np.zeros(problem.N)
         for i, (t, s) in enumerate(zip(problem.client_tasks, problem.shards)):
+            gen = rng.derive(i).generator()
             b = min(batch_size, s.data.n)
             noise = [
                 np.sum((stochastic_gradient(t, s.data, x, b, gen).grad - exact[i]) ** 2)
@@ -517,9 +517,43 @@ class TestMinibatchNoise:
         want = self.reference(problem, x, exact, batch_size, rng, draws)
         np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["logistic", "mlp"]),
+        sizes=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=5),
+        pick=st.integers(0, 4),
+        batch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_client_does_not_see_other_shards(self, kind, sizes, pick, batch_size, seed):
+        # client i's estimate is the same when every other shard is resized,
+        # and when the clients after it are removed
+        from fedagm import Dataset, LogisticRegressionTask, MlpTask
+
+        i = pick % len(sizes)
+        if kind == "logistic":
+            task = LogisticRegressionTask(3, 3, weight_decay=0.01)
+        else:
+            task = MlpTask(3, 4, 3, weight_decay=0.01)
+
+        def sigma_i(shard_sizes):
+            data = []
+            for j, n in enumerate(shard_sizes):
+                gen = np.random.default_rng([seed, j, n])
+                data.append(Dataset(gen.normal(size=(n, 3)), gen.integers(0, 3, n), 3))
+            shards = [ClientShard(d, 1.0 / len(data)) for d in data]
+            fed = FederatedProblem([task] * len(data), shards).stacked
+            x = 0.3 * np.random.default_rng(seed).normal(size=fed.dim)
+            exact = client_gradients(fed, x)
+            return _minibatch_noise(fed, x, exact, batch_size, RngStream(seed, 5), 6)[i]
+
+        ours, others = [n for n, _ in sizes], [m for _, m in sizes]
+        resized = others[:i] + [ours[i]] + others[i + 1 :]
+        assert sigma_i(resized) == sigma_i(ours) == sigma_i(ours[: i + 1])
+
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
     def test_default_draws_with_full_batch_clients(self, kind):
-        # clients 1 and 3 have no more rows than the batch: full gradients, no words
+        # clients 1 and 3 have no more rows than the batch: full gradients, no draws
         problem = noise_federation(kind, [40, 6, 23, 8, 9], 3)
         x = 0.3 * np.random.default_rng(4).normal(size=problem.dim)
         exact = client_gradients(problem.stacked, x)
