@@ -18,9 +18,14 @@ other slots share its step. Slots whose batch size or step count differ
 (epoch_mode, or clients with fewer rows than the batch size) run as
 separate lockstep groups. `run_local` is the one-slot call.
 
+The slots' streams come as one `StreamBatch`, a root stream plus key
+arrays, which costs no hashing until a group draws from it. A group whose
+slots take their full batch reads no stream, so it derives and seeds
+nothing; a drawing group's lanes are derived and seeded together
+(`StreamBatch.bit_generators`), once per group per round.
+
 `draw_minibatches` takes a group's minibatches for all of its steps before
 the step loop, in one vectorised pass over each slot's raw PCG64 words. The
-slots' generators are seeded together (`StreamBatch.bit_generators`). The
 indices are those of `steps` sequential `Generator.choice(n, batch,
 replace=False)` calls on the slot's generator, bit for bit: for n <= 10000
 NumPy's `choice` is Floyd's sampling followed by a Fisher-Yates shuffle,
@@ -186,7 +191,7 @@ def run_clients(
     clients,
     x_start: ParamVector,
     cfg: LocalConfig,
-    rngs: StreamBatch | list[RngStream],
+    rngs: StreamBatch,
     server_cv: ParamVector | None = None,
     client_cvs: np.ndarray | None = None,
     record: bool = False,
@@ -195,7 +200,9 @@ def run_clients(
     slots in lockstep; returns one LocalResult per slot, in slot order.
 
     Slot s draws its minibatches from the start of stream `rngs[s]`, all of
-    a group's draws at once (`draw_minibatches`). With record=True each
+    a group's draws at once (`draw_minibatches`); only the lanes of groups
+    that draw are derived and seeded, so a slot that takes its full batch
+    costs no stream. With record=True each
     result keeps its iterate trajectory [x_0 .. x_K].
     The scaffold variant needs the server variate; `client_cvs` holds one
     client variate per slot and defaults to zeros.
@@ -205,8 +212,6 @@ def run_clients(
     x_start = np.asarray(x_start, dtype=np.float64)
     if x_start.shape != (d,):
         raise StructuralError(f"x_start has shape {x_start.shape}, task needs ({d},)")
-    if not isinstance(rngs, StreamBatch):
-        rngs = StreamBatch.of(rngs)
     if len(rngs) != S:
         raise StructuralError(f"need one stream per slot, got {len(rngs)} for {S} slots")
     if cfg.variant == "scaffold":
@@ -279,7 +284,7 @@ def run_local(
         [0],
         x_start,
         cfg,
-        [rng],
+        StreamBatch(rng),
         server_cv=server_cv,
         client_cvs=None if client_cv is None else np.asarray(client_cv, np.float64)[None],
         record=record,

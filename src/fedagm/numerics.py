@@ -6,9 +6,10 @@ a stream is a (seed, stream_id) pair, and derived streams are obtained by
 mixing integer keys into the id with splitmix64, so the draw sequence of any
 (client, round) stream is independent of execution order.
 
-`StreamBatch` holds many streams as uint64 arrays. It derives a round's
-per-slot streams and seeds their PCG64 generators in one array pass each,
-with the bits of `RngStream.derive` and `RngStream.generator`.
+`StreamBatch` holds many streams as a root stream plus uint64 key arrays.
+Building one hashes nothing; its lanes are derived and their PCG64
+generators seeded in one array pass when they are seeded, with the bits of
+`RngStream.derive` and `RngStream.generator`.
 """
 
 from __future__ import annotations
@@ -75,21 +76,12 @@ class RngStream:
         return RngStream(self.seed, _mix_keys(self.stream_id, keys))
 
     def derive_lanes(self, *keys) -> "StreamBatch":
-        """Many `derive` calls in one array pass: the keys are ints followed by
+        """Many `derive` calls as one batch: the keys are ints followed by
         1-D integer arrays of one length L, and lane j of the L-lane result
-        is `self.derive(*ints, a0[j], a1[j], ...)`."""
+        is `self.derive(*ints, a0[j], a1[j], ...)`. Only the ints are mixed
+        here; the lanes are hashed when they are seeded."""
         n = sum(isinstance(key, (int, np.integer)) for key in keys)
-        sid = _mix_keys(self.stream_id, keys[:n])
-        hashed = np.empty((len(keys) - n, len(keys[n])), dtype=np.uint64)
-        for row, key in zip(hashed, keys[n:]):
-            row[...] = key  # the cast wraps a negative key, as `key & _MASK64` does
-        _splitmix64_lanes(hashed, out=hashed)
-        ids = np.bitwise_xor(hashed[0], np.uint64(sid & _MASK64))
-        for j in range(1, len(hashed)):
-            _splitmix64_lanes(ids, out=ids)
-            ids ^= hashed[j]
-        seeds = np.full(ids.size, self.seed & _MASK64, dtype=np.uint64)
-        return StreamBatch(seeds, _splitmix64_lanes(ids, out=ids))
+        return StreamBatch(RngStream(self.seed, _mix_keys(self.stream_id, keys[:n])), keys[n:])
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -202,36 +194,42 @@ def _seed_words() -> type:
 
 @dataclass(frozen=True, eq=False)
 class StreamBatch:
-    """Lanes of streams: lane j is `RngStream(seeds[j], ids[j])`, both taken
-    modulo 2**64 (which names the same stream).
+    """Lanes of streams under one root: lane j is `root.derive(k0[j], k1[j],
+    ...)` for the key arrays `keys`, which are cast to uint64 copies (the
+    cast wraps a negative key, as `derive` does). A batch with no keys is
+    the single lane `root`.
 
-    `RngStream.derive_lanes` builds one from a root stream, `of` from a
-    list. `bit_generators` seeds every lane's PCG64 in one array pass.
+    Nothing is hashed until `bit_generators` seeds the lanes, so a batch
+    whose lanes are never drawn from costs no hashing.
     """
 
-    seeds: np.ndarray
-    ids: np.ndarray
+    root: RngStream
+    keys: tuple[np.ndarray, ...] = ()
 
-    @classmethod
-    def of(cls, streams) -> "StreamBatch":
-        seeds = [stream.seed & _MASK64 for stream in streams]
-        ids = [stream.stream_id & _MASK64 for stream in streams]
-        return cls(np.array(seeds, dtype=np.uint64), np.array(ids, dtype=np.uint64))
+    def __post_init__(self):
+        object.__setattr__(self, "keys", tuple(np.asarray(k).astype(np.uint64) for k in self.keys))
 
     def __len__(self) -> int:
-        return self.ids.size
+        return self.keys[0].size if self.keys else 1
 
     def __getitem__(self, j: int) -> RngStream:
-        return RngStream(int(self.seeds[j]), int(self.ids[j]))
+        """Lane j, with its seed and id taken modulo 2**64 (which names the same stream)."""
+        sid = _mix_keys(self.root.stream_id, [int(key[j]) for key in self.keys])
+        return RngStream(self.root.seed & _MASK64, sid & _MASK64)
 
     def take(self, lanes) -> "StreamBatch":
-        return StreamBatch(self.seeds[lanes], self.ids[lanes])
+        return StreamBatch(self.root, tuple(key[lanes] for key in self.keys))
 
     def bit_generators(self) -> list[np.random.PCG64]:
-        """Lane j's `RngStream.generator().bit_generator`, at the start of its stream."""
-        roots = _splitmix64_lanes(self.seeds)
-        roots ^= self.ids
-        words = seed_sequence_words(_splitmix64_lanes(roots, out=roots))
+        """Lane j's `self[j].generator().bit_generator`, at the start of its
+        stream: every lane's id is derived, and its PCG64 seeded, in one
+        array pass."""
+        ids = np.full(len(self), self.root.stream_id & _MASK64, dtype=np.uint64)
+        for key in self.keys:  # `_mix_keys`, one key array at a time
+            ids ^= _splitmix64_lanes(key)
+            _splitmix64_lanes(ids, out=ids)
+        ids ^= np.uint64(splitmix64(self.root.seed & _MASK64))
+        words = seed_sequence_words(_splitmix64_lanes(ids, out=ids))
         seed_words = _seed_words()
         return [np.random.PCG64(seed_words(row)) for row in words]
 

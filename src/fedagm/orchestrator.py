@@ -38,11 +38,10 @@ from .tasks import (
     Task,
     check_federation,
     client_evaluation,
-    client_gradients,
-    client_losses,
     evaluate,
     full_gradient,
     init_params,
+    weighted_dissimilarity,
 )
 
 # Stream tags: fixed keys that keep the per-purpose child streams apart.
@@ -128,19 +127,6 @@ def weighted_loss(p: np.ndarray, losses: np.ndarray) -> float:
     return float(sum(w * loss for w, loss in zip(p, losses)))
 
 
-def gradient_summary(p: np.ndarray, grads: np.ndarray) -> tuple[float, float]:
-    """(||sum_i p_i grad_i||^2, weighted client-gradient dissimilarity)."""
-    mean, sigma_g = weighted_dissimilarity(grads, p)
-    return float(mean @ mean), sigma_g
-
-
-def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """(p-weighted mean gradient, sum_i p_i ||grad_i - mean||^2)."""
-    mean = p @ grads
-    gaps = ((grads - mean) ** 2).sum(axis=1)
-    return mean, float(p @ gaps)
-
-
 @dataclass
 class FederatedProblem:
     """N clients' objectives and shards, plus an optional global test set.
@@ -180,14 +166,15 @@ class FederatedProblem:
         return StackedFederation.build(self.client_tasks, [shard.data for shard in self.shards])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ client_gradients(self.stacked, x)
+        return self.weights @ client_evaluation(self.stacked, x)[1]
 
     def gradient_stats(self, x: np.ndarray) -> tuple[float, float]:
         """(||grad f(x)||^2, weighted client-gradient dissimilarity) in one pass."""
-        return gradient_summary(self.weights, client_gradients(self.stacked, x))
+        mean, sigma_g = weighted_dissimilarity(client_evaluation(self.stacked, x)[1], self.weights)
+        return float(mean @ mean), sigma_g
 
     def train_loss(self, x: np.ndarray) -> float:
-        return weighted_loss(self.weights, client_losses(self.stacked, x))
+        return weighted_loss(self.weights, client_evaluation(self.stacked, x, gradients=False)[0])
 
     def test_metrics(self, x: np.ndarray) -> tuple[float, float]:
         if self.test_data is None:
@@ -271,8 +258,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Drive T rounds and return the full metric log.
 
     Each round makes one `run_clients` call, which runs the sampled slots
-    in lockstep on the calling thread; their streams are derived in one
-    array pass (`RngStream.derive_lanes`).
+    in lockstep on the calling thread. It gets the slots' streams as one
+    `RngStream.derive_lanes` batch, which hashes nothing itself: only the
+    lanes of slots that draw minibatches are derived and seeded, so a round
+    whose slots all take their full batch costs no stream.
 
     The training loss, and on evaluated rounds the gradient statistics,
     come from one `client_evaluation` pass over the clients, which the
@@ -333,8 +322,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         grad_norm_sq, sigma_g = (np.nan, np.nan)
         test_acc = 0.0
         if want_row:
-            grad_norm_sq, sigma_g = gradient_summary(p, grads)
-            del grads  # an (N, d) stack: free it before the clients train
+            mean, sigma_g = weighted_dissimilarity(grads, p)
+            grad_norm_sq = float(mean @ mean)
+            # free the (N, d) stack, and its mean, before the clients train
+            del grads, mean
             _, test_acc = prob.test_metrics(state.x)
         if iterates is not None:
             iterates.append(state.x.copy())

@@ -35,7 +35,8 @@ class PartitionSpec:
     `class_groups` optionally maps each class id to a coarse group id; the
     Dirichlet draw is then taken over groups and spread uniformly over the
     member classes, which models datasets whose many labels form a few
-    broad families.
+    broad families. Group ids are replaced by their ranks among the ids in
+    use, so only the groups that hold a class enter the draw.
     """
 
     scheme: str
@@ -62,6 +63,7 @@ class PartitionSpec:
             self.class_groups = np.asarray(self.class_groups, dtype=np.int64)
             if np.any(self.class_groups < 0):
                 raise ParameterError("class_groups must hold group ids >= 0")
+            self.class_groups = np.unique(self.class_groups, return_inverse=True)[1]
 
 
 @dataclass
@@ -105,9 +107,8 @@ def _client_class_probs(spec: PartitionSpec, num_classes: int, gen) -> np.ndarra
         raise StructuralError(
             f"class_groups has {groups.size} entries, dataset has {num_classes} classes"
         )
-    num_groups = int(groups.max()) + 1
-    q_group = sample_dirichlet(gen, spec.alpha, num_groups)
-    sizes = np.bincount(groups, minlength=num_groups)
+    sizes = np.bincount(groups)
+    q_group = sample_dirichlet(gen, spec.alpha, sizes.size)
     return q_group[groups] / sizes[groups]
 
 

@@ -505,14 +505,13 @@ def client_evaluation(
     return losses, grads
 
 
-def client_losses(fed: StackedFederation, x: ParamVector) -> np.ndarray:
-    """(N,) mean loss of every client at x, forward passes only."""
-    return client_evaluation(fed, x, gradients=False)[0]
-
-
-def client_gradients(fed: StackedFederation, x: ParamVector) -> np.ndarray:
-    """(N, d) stack of the clients' full gradients at x."""
-    return client_evaluation(fed, x)[1]
+def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """(p-weighted mean gradient, sum_i p_i ||grad_i - mean||^2) of an (N, d)
+    stack of client gradients, with one (N, d) temporary."""
+    mean = p @ grads
+    gaps = grads - mean
+    gaps *= gaps
+    return mean, float(p @ gaps.sum(axis=1))
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

@@ -16,16 +16,16 @@ import numpy as np
 from .errors import ParameterError, StructuralError
 from .local import draw_minibatches
 from .numerics import RngStream, as_generator
-from .orchestrator import weighted_dissimilarity
 from .sampling import check_weights
 from .server import Calibration
 from .tasks import (
     QuadraticTask,
     StackedFederation,
     Task,
-    client_gradients,
+    client_evaluation,
     quadratic_sigma_sq,
     quadratic_smoothness,
+    weighted_dissimilarity,
 )
 
 
@@ -152,6 +152,45 @@ def lemma_second_moment_bound(c: ProblemConstants) -> float:
     return (12.0 * sig2 + 24.0 * g2) / c.S + 4.0 * (sig2 + g2)
 
 
+def _probe(fed: StackedFederation, p: np.ndarray, x_points, noise=None):
+    """One pass over the probe points, with one (N, d) client-gradient stack
+    alive at a time: each is reduced and dropped before the next is built.
+
+    Returns each client's largest gradient norm (G_i), the largest weighted
+    dissimilarity, the largest ratio of the p-weighted mean gradient's change
+    to the point's over consecutive probes (a gradient Lipschitz estimate),
+    and, given `noise = (batch_size, rng, draws)`, `_minibatch_noise` at the
+    first probe (else None).
+    """
+    if not x_points:
+        raise ParameterError("need at least one probe point")
+    G_i = np.zeros(fed.N)
+    sigma_g_sq = L = 0.0
+    sigma_i = None
+    for j, x in enumerate(x_points):
+        x = np.asarray(x, dtype=np.float64)
+        grads = client_evaluation(fed, x)[1]
+        for i in range(fed.N):  # no row view may outlive the stack
+            G_i[i] = max(G_i[i], math.sqrt(float(np.dot(grads[i], grads[i]))))
+        mean, dissimilarity = weighted_dissimilarity(grads, p)
+        sigma_g_sq = max(sigma_g_sq, dissimilarity)
+        if j == 0:
+            if noise is not None:
+                sigma_i = _minibatch_noise(fed, x, grads, *noise)
+        else:
+            gap = math.sqrt(float(np.sum((x_prev - x) ** 2)))
+            if gap > 0:
+                L = max(L, math.sqrt(float(np.sum((mean_prev - mean) ** 2))) / gap)
+        x_prev, mean_prev = x, mean
+        del grads
+    return G_i, sigma_g_sq, L, sigma_i
+
+
+def _probe_shards(tasks: list[Task], shards, x_points):
+    p = np.array([shard.weight for shard in shards])
+    return _probe(StackedFederation.build(tasks, [shard.data for shard in shards]), p, x_points)
+
+
 def empirical_sigma_g(
     tasks: list[Task],
     shards,
@@ -162,15 +201,7 @@ def empirical_sigma_g(
     At each probe x: sum_i p_i ||grad f_i(x) - grad f(x)||^2 where grad f is
     the p-weighted mean gradient. A sampled lower estimate of sigma_g^2.
     """
-    if not x_points:
-        raise ParameterError("need at least one probe point")
-    p = np.array([shard.weight for shard in shards])
-    fed = StackedFederation.build(tasks, [shard.data for shard in shards])
-    worst = 0.0
-    for x in x_points:
-        _, value = weighted_dissimilarity(client_gradients(fed, x), p)
-        worst = max(worst, value)
-    return worst
+    return _probe_shards(tasks, shards, x_points)[1]
 
 
 def quadratic_sigma_g_exact(tasks, p: np.ndarray) -> float:
@@ -196,19 +227,7 @@ def probe_gradient_bounds(
     x_points: list[np.ndarray],
 ) -> np.ndarray:
     """Per-client max gradient norm over the probe points (an empirical G_i)."""
-    if not x_points:
-        raise ParameterError("need at least one probe point")
-    fed = StackedFederation.build(tasks, [shard.data for shard in shards])
-    out = np.zeros(len(tasks))
-    for x in x_points:
-        _raise_to_norms(out, client_gradients(fed, x))
-    return out
-
-
-def _raise_to_norms(bounds: np.ndarray, grads: np.ndarray) -> None:
-    """bounds[i] <- max(bounds[i], ||grads[i]||), in place."""
-    for i, g in enumerate(grads):
-        bounds[i] = max(bounds[i], math.sqrt(float(np.dot(g, g))))
+    return _probe_shards(tasks, shards, x_points)[0]
 
 
 def mean_identity_zscores(draws: np.ndarray, expected_mean: np.ndarray) -> np.ndarray:
@@ -367,39 +386,18 @@ def estimate_problem_constants(
     true suprema. Each probe's client-gradient stack is built once, reduced,
     and dropped before the next probe is stacked.
     """
-    if not x_points:
-        raise ParameterError("need at least one probe point")
-    tasks = problem.client_tasks
-    shards = problem.shards
-    p = problem.weights
-    all_quadratic = all(isinstance(t, QuadraticTask) for t in tasks)
-
-    if all_quadratic:
+    tasks, p = problem.client_tasks, problem.weights
+    quadratic = all(isinstance(t, QuadraticTask) for t in tasks)
+    noise = None if quadratic else (batch_size, rng, noise_draws)
+    G_i, sigma_g_sq, L, sigma_i = _probe(problem.stacked, p, x_points, noise)
+    if quadratic:
         L = quadratic_smoothness(tasks)
         sigma_i = np.sqrt(
             [
                 quadratic_sigma_sq(t, s.data, min(batch_size, s.data.n))
-                for t, s in zip(tasks, shards)
+                for t, s in zip(tasks, problem.shards)
             ]
         )
-    else:
-        L = 0.0
-    G_i = np.zeros(len(tasks))
-    sigma_g_sq = 0.0
-    for j, x in enumerate(x_points):
-        grads = client_gradients(problem.stacked, x)
-        _raise_to_norms(G_i, grads)
-        mean, dissimilarity = weighted_dissimilarity(grads, p)
-        sigma_g_sq = max(sigma_g_sq, dissimilarity)
-        if not all_quadratic:
-            if j == 0:
-                sigma_i = _minibatch_noise(problem.stacked, x, grads, batch_size, rng, noise_draws)
-            else:
-                gap = math.sqrt(float(np.sum((x_prev - x) ** 2)))
-                if gap > 0:
-                    L = max(L, math.sqrt(float(np.sum((mean_prev - mean) ** 2))) / gap)
-            x_prev, mean_prev = x, mean
-        del grads
     return ProblemConstants(
         L=L,
         sigma_i=sigma_i,

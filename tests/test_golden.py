@@ -1,0 +1,208 @@
+"""Golden outputs: a run is a pure function of its config and seed, bit for bit.
+
+Each case runs `fedagm run` on a small config and hashes the bytes it
+writes, then reruns the config through `run_experiment` with iterates and
+drift recorded and hashes those arrays and the SCAFFOLD variates. The
+digests below were taken with the NumPy named in `GOLDEN_NUMPY`; seeding,
+`choice` and the normal and gamma draws may change between NumPy releases,
+so a mismatch names both versions.
+
+A change that moves output bits on purpose prints the new digests with
+`python tests/test_golden.py` and records the move in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from fedagm.cli import main
+from fedagm.config import parse_config
+from fedagm.orchestrator import run_experiment
+
+GOLDEN_NUMPY = "2.4.6"
+
+QUAD = {"kind": "quadratic", "num_clients": 6, "dim": 4, "heterogeneity": 0.5, "samples_per_client": 12}
+BLOBS = {"source": "blobs", "n": 120, "num_classes": 4, "num_features": 3}
+
+CASES = {
+    "quad-fedavg-eta1": {
+        "seed": 3,
+        "rounds": 12,
+        "task": QUAD,
+        "local": {"steps": 3, "gamma": 0.05, "batch_size": 4},
+        "sampling": {"clients_per_round": 3},
+        "server": {"name": "FedAvg", "eta": 1.0},
+    },
+    "quad-s-fedadam": {
+        "seed": 4,
+        "rounds": 12,
+        "task": QUAD | {"weights": "dirichlet"},
+        "local": {"steps": 2, "gamma": 0.05, "batch_size": 5},
+        "sampling": {"clients_per_round": 4},
+        "server": {"name": "s-FedAdam", "eta": 0.05},
+        "schedules": {"eta": {"kind": "multistage"}},
+    },
+    "quad-fedamsgrad-scaffold-repeat": {
+        # S = 5 slots over 3 clients: some client is drawn more than once
+        "seed": 5,
+        "rounds": 10,
+        "task": QUAD | {"num_clients": 3, "samples_per_client": 9},
+        "local": {"steps": 3, "gamma": 0.05, "batch_size": 4, "variant": "scaffold"},
+        "sampling": {"clients_per_round": 5},
+        "server": {"name": "FedAMSGrad", "eta": 0.05},
+    },
+    "logistic-sort-prox-decay": {
+        "seed": 6,
+        "rounds": 9,
+        "eval_every": 3,
+        "task": {"kind": "logistic", "dataset": BLOBS, "weight_decay": 0.01},
+        "partition": {"scheme": "sort", "num_clients": 6, "classes_per_client": 2},
+        "local": {"steps": 3, "gamma": 0.1, "batch_size": 5, "variant": "prox", "prox_mu": 0.1},
+        "sampling": {"clients_per_round": 3},
+        "server": {"name": "FedAdam", "eta": 0.05},
+    },
+    "mlp-epoch-plateau": {
+        "seed": 7,
+        "rounds": 8,
+        "task": {"kind": "mlp", "hidden": 5, "dataset": BLOBS},
+        "partition": {"scheme": "dirichlet", "num_clients": 5, "alpha": 0.5, "balance": "proportional"},
+        "local": {"steps": 1, "gamma": 0.1, "batch_size": 6, "epoch_mode": True},
+        "sampling": {"clients_per_round": 3},
+        "server": {"name": "FedMomentum", "eta": 1.0},
+        "schedules": {"gamma": {"kind": "plateau", "patience": 2, "factor": 0.5}},
+    },
+    "quad-full-sampling": {
+        "seed": 8,
+        "rounds": 10,
+        "task": QUAD,
+        "local": {"steps": 2, "gamma": 0.05, "batch_size": 4},
+        "sampling": {"clients_per_round": 6, "mode": "full"},
+        "server": {"name": "FedYogi", "eta": 0.05},
+    },
+    "quad-diverges": {
+        "seed": 9,
+        "rounds": 30,
+        "task": QUAD,
+        # every shard fits in one batch: the run draws no minibatch
+        "local": {"steps": 3, "gamma": 5.0, "batch_size": 12},
+        "sampling": {"clients_per_round": 3},
+        "server": {"name": "FedAvg", "eta": 1.0},
+    },
+}
+
+# sha256 of each artifact, first 16 hex digits
+GOLDEN = {
+    "logistic-sort-prox-decay": {
+        "metrics.csv": "c019bab5f5fc85d3",
+        "model.bin": "c5735cccf3bfff55",
+        "bound_report.json": "067b3226d75b1fe7",
+        "iterates": "d2e552c668eee7c7",
+        "drift": "2b27c8eb7f655993",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+    "mlp-epoch-plateau": {
+        "metrics.csv": "8973470410c3bebf",
+        "model.bin": "9bf405b3beee3134",
+        "bound_report.json": "c6f91e6d16b779c9",
+        "iterates": "17a8c3494569d6ef",
+        "drift": "e3b0c44298fc1c14",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+    "quad-diverges": {
+        "metrics.csv": "7294fdc2d886ef09",
+        "model.bin": "c9a638e46ee41b39",
+        "bound_report.json": "c290763e6de789d7",
+        "iterates": "6d0743b9043aa3b9",
+        "drift": "8633b96450d88015",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+    "quad-fedamsgrad-scaffold-repeat": {
+        "metrics.csv": "052989a3b63ff0c0",
+        "model.bin": "9a7f436c692f9c7e",
+        "bound_report.json": "24f808e09b9f2ffe",
+        "iterates": "7cf667aa14010ca3",
+        "drift": "55003cdd5ab34a78",
+        "control_variates": "0591e8108335bab2",
+    },
+    "quad-fedavg-eta1": {
+        "metrics.csv": "47ff5a5625760af8",
+        "model.bin": "a2cc37140746abe7",
+        "bound_report.json": "2ac37e9459665c3c",
+        "iterates": "f77de8d1685bba71",
+        "drift": "5b09d33c4ee08db5",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+    "quad-full-sampling": {
+        "metrics.csv": "eeb0c1c7c76ac13c",
+        "model.bin": "0031fd84bc28fa11",
+        "bound_report.json": "dac693dc31a9dbad",
+        "iterates": "ab8879eb572d2cfa",
+        "drift": "456b20eed67d6e4b",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+    "quad-s-fedadam": {
+        "metrics.csv": "d57d2d34e6664901",
+        "model.bin": "c04dcf56614c48f1",
+        "bound_report.json": "c9f5f2bb8c1ce9ed",
+        "iterates": "41ad2ce7eebf69cc",
+        "drift": "ae8c036d749d63ac",
+        "control_variates": "e3b0c44298fc1c14",
+    },
+}
+
+FILES = ("metrics.csv", "model.bin", "bound_report.json")
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def array_digest(arrays) -> str:
+    return sha(b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays))
+
+
+def digests(name: str, out: pathlib.Path) -> dict:
+    obj = CASES[name]
+    path = out / "config.json"
+    path.write_text(json.dumps(obj))
+    code = main(["run", str(path), "--out", str(out / "run")])
+    assert code == (2 if name == "quad-diverges" else 0)
+    found = {f: sha((out / "run" / f).read_bytes()) for f in FILES}
+
+    cfg = parse_config(obj)
+    cfg = dataclasses.replace(cfg, record_iterates=True, record_drift=not cfg.local.epoch_mode)
+    result = run_experiment(cfg)
+    found["iterates"] = array_digest(result.iterates)
+    found["drift"] = array_digest([] if result.drift is None else [result.drift])
+    cvs = result.control_variates
+    found["control_variates"] = array_digest([] if cvs is None else [cvs])
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_their_golden_digests(name, tmp_path):
+    found = digests(name, tmp_path)
+    moved = sorted(key for key, value in found.items() if GOLDEN[name].get(key) != value)
+    assert not moved, (
+        f"{name}: {moved} moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
+        f"this run used NumPy {np.__version__}; new digests: {found}"
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {}
+        for name in sorted(CASES):
+            case_dir = pathlib.Path(tmp) / name
+            case_dir.mkdir()
+            table[name] = digests(name, case_dir)
+    print(f"# NumPy {np.__version__}")
+    json.dump(table, sys.stdout, indent=4)
+    print()

@@ -210,12 +210,18 @@ class TestStreamBatch:
                 err_msg=NUMPY_CHANGED,
             )
 
-    def test_of_and_take_keep_each_lane(self):
-        streams = [RngStream(5, 3), RngStream(2**64 - 1, 2**64 - 1), RngStream(0).derive(9)]
-        batch = StreamBatch.of(streams)
+    def test_take_and_a_keyless_batch_keep_each_lane(self):
+        root = RngStream(2**64 - 1, 2**64 - 1)
+        keys = np.array([5, -3, 2**40])
+        batch = root.derive_lanes(9, keys)
+        streams = [root.derive(9, int(k)) for k in keys]
         assert [batch[j] for j in range(3)] == streams
-        assert [batch.take([2, 0])[j] for j in range(2)] == [streams[2], streams[0]]
-        for bit_generator, stream in zip(batch.bit_generators(), streams):
+        taken = batch.take([2, 0])
+        assert len(taken) == 2 and [taken[j] for j in range(2)] == [streams[2], streams[0]]
+        keyless = StreamBatch(RngStream(5, 3))
+        assert len(keyless) == 1 and keyless[0] == RngStream(5, 3)
+        lanes = taken.bit_generators() + keyless.bit_generators()
+        for bit_generator, stream in zip(lanes, [streams[2], streams[0], RngStream(5, 3)]):
             np.testing.assert_array_equal(
                 bit_generator.random_raw(3),
                 stream.generator().bit_generator.random_raw(3),

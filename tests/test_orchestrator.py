@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedagm.numerics as numerics
 import fedagm.orchestrator as orch
 from fedagm import (
     ClientShard,
@@ -20,6 +21,7 @@ from fedagm import (
     SamplingSpec,
     ScheduleSpec,
     ServerOptimizer,
+    StreamBatch,
     StructuralError,
     apply_schedule,
     init_params,
@@ -204,6 +206,74 @@ class TestMessageCounts:
             e for row in logged for e in (["grads", "test"] if row else ["losses"]) + ["sample"]
         ]
         assert events == plain + with_plateau
+
+
+def sized_problem(sizes, seed=0):
+    """A quadratic federation whose client i holds sizes[i] anchor rows."""
+    tasks, _ = make_synthetic_federated_quadratic(len(sizes), 2, 1.0, RngStream(seed))
+    shards = [
+        ClientShard(make_quadratic_client_data(t, n, 1.0, RngStream(seed + 1 + i)), 1 / len(sizes))
+        for i, (t, n) in enumerate(zip(tasks, sizes))
+    ]
+    return FederatedProblem(tasks, shards)
+
+
+class TestLaneCounts:
+    """A round hashes and seeds only the slot streams it draws minibatches from."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"seedings": 0, "hashes": 0, "hashes_outside_seeding": 0}
+        real_hash, real_seed = numerics._splitmix64_lanes, StreamBatch.bit_generators
+        seeding = []
+
+        def hash_lanes(*args, **kw):
+            counts["hashes"] += 1
+            counts["hashes_outside_seeding"] += not seeding
+            return real_hash(*args, **kw)
+
+        def bit_generators(self):
+            counts["seedings"] += 1
+            seeding.append(self)
+            try:
+                return real_seed(self)
+            finally:
+                seeding.pop()
+
+        monkeypatch.setattr(numerics, "_splitmix64_lanes", hash_lanes)
+        monkeypatch.setattr(StreamBatch, "bit_generators", bit_generators)
+        return counts
+
+    def test_full_batch_runs_hash_and_seed_nothing(self, counts):
+        # acceptance test 09's shape: one slot of 16 rows, a batch of 16
+        pair = sized_problem([16, 16])
+        fedavg = named_optimizer("FedAvg", eta=1.0)
+        for K, T in [(20, 30), (1, 60)]:
+            local = LocalConfig(K=K, gamma=0.02, batch_size=16)
+            one_slot = SamplingSpec(S=1)
+            run_experiment(config(pair, local=local, sampling=one_slot, server=fedavg, rounds=T))
+        # epoch mode whose batch covers every shard: one full step each
+        local = LocalConfig(K=1, gamma=0.05, batch_size=8, epoch_mode=True)
+        run_experiment(config(sized_problem([3, 5, 8]), local=local, sampling=SamplingSpec(S=4)))
+        assert counts == {"seedings": 0, "hashes": 0, "hashes_outside_seeding": 0}
+
+    def test_a_minibatch_round_seeds_its_lanes_once(self, counts):
+        T = 6
+        run_experiment(config(sized_problem([12] * 4), sampling=SamplingSpec(S=3), rounds=T))
+        assert counts["seedings"] == T
+        assert counts["hashes"] > 0 and counts["hashes_outside_seeding"] == 0
+
+    def test_epoch_mode_seeds_once_per_drawing_group(self, counts):
+        # batch 6: the 5-row client takes its full batch; the others draw
+        # minibatches for 2, 3 and 4 steps, one lockstep group each
+        sizes = [5, 9, 13, 20]
+        local = LocalConfig(K=1, gamma=0.05, batch_size=6, epoch_mode=True)
+        cfg = config(sized_problem(sizes), local=local, sampling=SamplingSpec(S=5), rounds=8)
+        result = run_experiment(cfg)
+        groups = [{sizes[c] for c in row.clients if sizes[c] > 6} for row in result.metrics]
+        assert len(groups) == cfg.rounds and sum(map(len, groups)) > cfg.rounds
+        assert counts["seedings"] == sum(map(len, groups))
+        assert counts["hashes_outside_seeding"] == 0
 
 
 class TestMetricsLog:

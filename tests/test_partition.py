@@ -134,6 +134,15 @@ class TestDirichlet:
         group_mass = np.stack([hist[:, :5].sum(axis=1), hist[:, 5:].sum(axis=1)], axis=1)
         assert float(group_mass.max(axis=1).mean()) > 0.8
 
+    def test_group_ids_count_by_rank(self):
+        # a sparse id sizes nothing: the draw runs over the three groups in use
+        data = balanced_dataset(n=400, num_classes=4)
+        sparse, dense = ([0, 0, 1, gap] for gap in (3_000_000, 2))
+        a = partition(data, self.spec(N=6, alpha=0.3, class_groups=sparse), RngStream(9))
+        b = partition(data, self.spec(N=6, alpha=0.3, class_groups=dense), RngStream(9))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.indices, y.indices)
+
     def test_determinism(self):
         data = balanced_dataset(n=500, num_classes=5)
         a = partition(data, self.spec(N=5), RngStream(7))

@@ -16,7 +16,6 @@ from fedagm import (
     ParameterError,
     RngStream,
     StackedFederation,
-    StreamBatch,
     StructuralError,
     run_clients,
     run_local,
@@ -29,13 +28,14 @@ def sequential(stream, n, batch, steps):
     return np.stack([gen.choice(n, size=batch, replace=False) for _ in range(steps)])
 
 
-def assert_matches_choice(streams, sizes, batch, steps):
-    draws = draw_minibatches(StreamBatch.of(streams), sizes, batch, steps)
-    assert draws.shape == (len(streams), steps, batch)
+def assert_matches_choice(root, keys, sizes, batch, steps):
+    """Lane s of `root.derive_lanes(keys)` draws what stream `root.derive(keys[s])` does."""
+    draws = draw_minibatches(root.derive_lanes(np.array(keys, dtype=np.int64)), sizes, batch, steps)
+    assert draws.shape == (len(keys), steps, batch)
     assert draws.dtype == np.int64
     assert draws.flags.c_contiguous
-    for s, (stream, n) in enumerate(zip(streams, sizes)):
-        np.testing.assert_array_equal(draws[s], sequential(stream, int(n), batch, steps))
+    for s, (key, n) in enumerate(zip(keys, sizes)):
+        np.testing.assert_array_equal(draws[s], sequential(root.derive(key), int(n), batch, steps))
 
 
 def test_streams_are_pcg64_backed():
@@ -56,8 +56,7 @@ def test_streams_are_pcg64_backed():
 )
 def test_draws_equal_sequential_choice(batch, steps, extra, seed, stream_id):
     sizes = [min(batch + e, 300) for e in extra]
-    streams = [RngStream(seed, stream_id).derive(s) for s in range(len(sizes))]
-    assert_matches_choice(streams, sizes, batch, steps)
+    assert_matches_choice(RngStream(seed, stream_id), list(range(len(sizes))), sizes, batch, steps)
 
 
 @pytest.mark.parametrize(
@@ -68,18 +67,19 @@ def test_draws_equal_sequential_choice(batch, steps, extra, seed, stream_id):
     ],
 )
 def test_large_population(batch):
-    assert_matches_choice([RngStream(5, 1), RngStream(5, 2)], [20000, 20000], batch, 3)
+    assert_matches_choice(RngStream(5), [1, 2], [20000, 20000], batch, 3)
 
 
 def test_odd_word_counts_carry_the_high_half_into_the_next_draw():
     # batch=2 takes 3 words a draw, so every second draw starts on a high half
-    assert_matches_choice([RngStream(8, 4)], [7], 2, 5)
+    assert_matches_choice(RngStream(8), [4], [7], 2, 5)
 
 
 def test_a_rejected_word_is_redrawn_with_choice():
-    # Stream (2024, 2123) hits Lemire's rejection zone in its fourth draw of
-    # 200 from 10000: the vectorised pass gets that draw wrong and flags it.
-    stream, n, batch, steps = RngStream(2024, 2123), 10000, 200, 4
+    # Stream RngStream(2024).derive(2841) hits Lemire's rejection zone in its
+    # fourth draw of 200 from 10000: the vectorised pass gets that draw wrong
+    # and flags it.
+    stream, n, batch, steps = RngStream(2024).derive(2841), 10000, 200, 4
     per_draw = 2 * batch - 1
     # 32-bit words in next_uint32's order: low half of each 64-bit output first
     raw64 = stream.generator().bit_generator.random_raw((steps * per_draw + 1) // 2)
@@ -88,7 +88,7 @@ def test_a_rejected_word_is_redrawn_with_choice():
     reference = sequential(stream, n, batch, steps)
     assert exact.tolist() == [True, True, True, False]
     assert not np.array_equal(raw[3], reference[3])
-    assert_matches_choice([RngStream(2024, 7), stream, RngStream(2024, 9)], [n] * 3, batch, steps)
+    assert_matches_choice(RngStream(2024), [7, 2841, 9], [n] * 3, batch, steps)
 
 
 def test_crafted_words_in_the_rejection_zone_are_flagged():
@@ -111,20 +111,21 @@ def test_flagged_slots_get_choices_bits(monkeypatch):
         return out, exact
 
     monkeypatch.setattr(fedagm.local, "choice_from_words", flag_slot_one)
-    assert_matches_choice([RngStream(1, s) for s in range(3)], [30, 12, 40], 4, 3)
+    assert_matches_choice(RngStream(1), [0, 1, 2], [30, 12, 40], 4, 3)
 
 
 def test_zero_streams_give_zero_draws():
-    draws = draw_minibatches(StreamBatch.of([]), np.zeros(0, dtype=np.int64), 3, 4)
+    lanes = RngStream(0).derive_lanes(np.zeros(0, dtype=np.int64))
+    draws = draw_minibatches(lanes, np.zeros(0, dtype=np.int64), 3, 4)
     assert draws.shape == (0, 4, 3)
     assert draws.dtype == np.int64
 
 
 def test_population_must_exceed_the_batch():
     with pytest.raises(ParameterError):
-        draw_minibatches(StreamBatch.of([RngStream(0)]), [4], 4, 1)
+        draw_minibatches(RngStream(0).derive_lanes(np.arange(1)), [4], 4, 1)
     with pytest.raises(StructuralError):
-        draw_minibatches(StreamBatch.of([RngStream(0), RngStream(1)]), [9], 4, 1)
+        draw_minibatches(RngStream(0).derive_lanes(np.arange(2)), [9], 4, 1)
 
 
 def test_lockstep_slots_keep_the_bits_of_lone_clients():
@@ -139,7 +140,7 @@ def test_lockstep_slots_keep_the_bits_of_lone_clients():
         fed = StackedFederation.build([task], [data])
         x0 = 0.3 * gen.normal(size=task.dim)
         streams = [RngStream(seed).derive(slot) for slot in range(3)]
-        together = run_clients(fed, [0, 0, 0], x0, cfg, streams)
+        together = run_clients(fed, [0, 0, 0], x0, cfg, RngStream(seed).derive_lanes(np.arange(3)))
         for s, stream in enumerate(streams):
             alone = run_local(task, ClientShard(data, 1.0), x0, cfg, rng=stream)
             np.testing.assert_array_equal(together[s].x_final, alone.x_final)

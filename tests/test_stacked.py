@@ -26,8 +26,7 @@ from fedagm import (
     run_local,
     stochastic_gradient,
 )
-from fedagm.orchestrator import weighted_dissimilarity
-from fedagm.tasks import client_evaluation, client_gradients, client_losses
+from fedagm.tasks import client_evaluation, weighted_dissimilarity
 
 KINDS = ("quadratic", "logistic", "mlp")
 
@@ -124,10 +123,11 @@ class TestLockstepEngine:
         if variant == "scaffold":
             server_cv = 0.1 * gen.normal(size=fed.dim)
             client_cvs = 0.1 * gen.normal(size=(len(clients), fed.dim))
+        lanes = RngStream(seed).derive_lanes(np.arange(len(clients)), np.array(clients))
         streams = [RngStream(seed).derive(slot, ci) for slot, ci in enumerate(clients)]
 
         together = run_clients(
-            fed, clients, x0, cfg, streams, server_cv=server_cv, client_cvs=client_cvs, record=True
+            fed, clients, x0, cfg, lanes, server_cv=server_cv, client_cvs=client_cvs, record=True
         )
         assert len(together) == len(clients)
         for s, ci in enumerate(clients):
@@ -153,7 +153,8 @@ class TestLockstepEngine:
         fed = StackedFederation.build(tasks, datasets)
         cfg = LocalConfig(K=1, gamma=0.1, batch_size=2)
         with pytest.raises(StructuralError):
-            run_clients(fed, [0, 1], np.zeros(fed.dim), cfg, [RngStream(0)])
+            one_lane = RngStream(0).derive_lanes(np.arange(1))
+            run_clients(fed, [0, 1], np.zeros(fed.dim), cfg, one_lane)
 
 
 class TestStackedEval:
@@ -170,8 +171,8 @@ class TestStackedEval:
     def test_client_rows_equal_evaluate_and_full_gradient(self, kind):
         problem = self.problem(kind)
         x = 0.2 * np.random.default_rng(5).normal(size=problem.dim)
-        losses = client_losses(problem.stacked, x)
-        grads = client_gradients(problem.stacked, x)
+        losses = client_evaluation(problem.stacked, x, gradients=False)[0]
+        grads = client_evaluation(problem.stacked, x)[1]
         assert grads.shape == (problem.N, problem.dim)
         for i, (task, shard) in enumerate(zip(problem.client_tasks, problem.shards)):
             assert losses[i] == evaluate(task, shard.data, x)[0]
@@ -206,8 +207,8 @@ class TestStackedEval:
         problem = FederatedProblem(tasks, [ClientShard(d, w) for d, w in zip(datasets, p)])
         x = 0.2 * np.random.default_rng(seed).normal(size=problem.dim)
         pairs = list(zip(problem.weights, tasks, datasets))
-        losses = client_losses(problem.stacked, x)
-        grads = client_gradients(problem.stacked, x)
+        losses = client_evaluation(problem.stacked, x, gradients=False)[0]
+        grads = client_evaluation(problem.stacked, x)[1]
         np.testing.assert_array_equal(losses, [evaluate(t, d, x)[0] for _, t, d in pairs])
         stack = np.stack([full_gradient(t, d, x) for _, t, d in pairs])
         np.testing.assert_array_equal(grads, stack)

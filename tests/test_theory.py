@@ -34,7 +34,7 @@ from fedagm import (
     verify_lemma_second_moment,
 )
 from fedagm.orchestrator import FederatedProblem
-from fedagm.tasks import client_gradients
+from fedagm.tasks import client_evaluation
 from fedagm.tasks import full_gradient, stochastic_gradient
 from fedagm.theory import _minibatch_noise
 
@@ -421,7 +421,7 @@ class TestClientGradientStack:
     def test_rows_are_the_client_full_gradients(self):
         problem = logistic_problem()
         x = self.probes(problem)[1]
-        grads = client_gradients(problem.stacked, x)
+        grads = client_evaluation(problem.stacked, x)[1]
         assert grads.shape == (problem.N, problem.dim)
         for i, (task, shard) in enumerate(zip(problem.client_tasks, problem.shards)):
             np.testing.assert_array_equal(grads[i], full_gradient(task, shard.data, x))
@@ -429,7 +429,7 @@ class TestClientGradientStack:
     def test_global_gradient_is_the_weighted_stack(self):
         problem = logistic_problem()
         x = self.probes(problem)[2]
-        stack = client_gradients(problem.stacked, x)
+        stack = client_evaluation(problem.stacked, x)[1]
         np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
 
     def test_streamed_constants_equal_the_probe_functions(self):
@@ -511,7 +511,7 @@ class TestMinibatchNoise:
     def test_equals_the_per_client_loop(self, kind, sizes, batch_size, draws, seed):
         problem = noise_federation(kind, sizes, seed % 1000)
         x = 0.3 * np.random.default_rng(seed).normal(size=problem.dim)
-        exact = client_gradients(problem.stacked, x)
+        exact = client_evaluation(problem.stacked, x)[1]
         rng = RngStream(seed, 17)
         got = _minibatch_noise(problem.stacked, x, exact, batch_size, rng, draws)
         want = self.reference(problem, x, exact, batch_size, rng, draws)
@@ -544,7 +544,7 @@ class TestMinibatchNoise:
             shards = [ClientShard(d, 1.0 / len(data)) for d in data]
             fed = FederatedProblem([task] * len(data), shards).stacked
             x = 0.3 * np.random.default_rng(seed).normal(size=fed.dim)
-            exact = client_gradients(fed, x)
+            exact = client_evaluation(fed, x)[1]
             return _minibatch_noise(fed, x, exact, batch_size, RngStream(seed, 5), 6)[i]
 
         ours, others = [n for n, _ in sizes], [m for _, m in sizes]
@@ -556,7 +556,7 @@ class TestMinibatchNoise:
         # clients 1 and 3 have no more rows than the batch: full gradients, no draws
         problem = noise_federation(kind, [40, 6, 23, 8, 9], 3)
         x = 0.3 * np.random.default_rng(4).normal(size=problem.dim)
-        exact = client_gradients(problem.stacked, x)
+        exact = client_evaluation(problem.stacked, x)[1]
         got = _minibatch_noise(problem.stacked, x, exact, 8, RngStream(5), 32)
         want = self.reference(problem, x, exact, 8, RngStream(5), 32)
         np.testing.assert_array_equal(got, want)
