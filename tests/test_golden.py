@@ -99,6 +99,7 @@ CASES = {
 GOLDEN = {
     "logistic-sort-prox-decay": {
         "metrics.csv": "c019bab5f5fc85d3",
+        "metrics.jsonl": "078fcdb32f63f405",
         "model.bin": "c5735cccf3bfff55",
         "bound_report.json": "067b3226d75b1fe7",
         "iterates": "d2e552c668eee7c7",
@@ -107,6 +108,7 @@ GOLDEN = {
     },
     "mlp-epoch-plateau": {
         "metrics.csv": "8973470410c3bebf",
+        "metrics.jsonl": "b8a55d8f1ed73cd9",
         "model.bin": "9bf405b3beee3134",
         "bound_report.json": "c6f91e6d16b779c9",
         "iterates": "17a8c3494569d6ef",
@@ -115,6 +117,7 @@ GOLDEN = {
     },
     "quad-diverges": {
         "metrics.csv": "7294fdc2d886ef09",
+        "metrics.jsonl": "316323750e45e9fd",
         "model.bin": "c9a638e46ee41b39",
         "bound_report.json": "c290763e6de789d7",
         "iterates": "6d0743b9043aa3b9",
@@ -123,6 +126,7 @@ GOLDEN = {
     },
     "quad-fedamsgrad-scaffold-repeat": {
         "metrics.csv": "052989a3b63ff0c0",
+        "metrics.jsonl": "15ef451ba9f43abb",
         "model.bin": "9a7f436c692f9c7e",
         "bound_report.json": "24f808e09b9f2ffe",
         "iterates": "7cf667aa14010ca3",
@@ -131,6 +135,7 @@ GOLDEN = {
     },
     "quad-fedavg-eta1": {
         "metrics.csv": "47ff5a5625760af8",
+        "metrics.jsonl": "8a01f5f7fe5bfda3",
         "model.bin": "a2cc37140746abe7",
         "bound_report.json": "2ac37e9459665c3c",
         "iterates": "f77de8d1685bba71",
@@ -139,6 +144,7 @@ GOLDEN = {
     },
     "quad-full-sampling": {
         "metrics.csv": "eeb0c1c7c76ac13c",
+        "metrics.jsonl": "157287e0a728465c",
         "model.bin": "0031fd84bc28fa11",
         "bound_report.json": "dac693dc31a9dbad",
         "iterates": "ab8879eb572d2cfa",
@@ -147,6 +153,7 @@ GOLDEN = {
     },
     "quad-s-fedadam": {
         "metrics.csv": "d57d2d34e6664901",
+        "metrics.jsonl": "7a02c7d2e6a72ca8",
         "model.bin": "c04dcf56614c48f1",
         "bound_report.json": "c9f5f2bb8c1ce9ed",
         "iterates": "41ad2ce7eebf69cc",
@@ -155,7 +162,7 @@ GOLDEN = {
     },
 }
 
-FILES = ("metrics.csv", "model.bin", "bound_report.json")
+FILES = ("metrics.csv", "metrics.jsonl", "model.bin", "bound_report.json")
 
 
 def sha(data: bytes) -> str:
