@@ -96,7 +96,7 @@ def main():
     print(f"\nclient-drift ceiling: satisfied = {drift_report.satisfied}")
     print(f"  worst cell at {drift_report.empirical:.3f} of its ceiling ({drift_report.notes})")
 
-    env = rate_envelope(np.mean(grads, axis=0), mu_pair(Calibration("identity"), V), c)
+    env = rate_envelope(np.mean(grads, axis=0))
     print(f"\ngradient-norm trend: decreasing = {env.satisfied}")
     print(f"  running average {env.bound:.3e} at T/2 -> {env.empirical:.3e} at T")
     print(f"  {env.notes}")

@@ -21,6 +21,7 @@ import copy
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
         )
         history = result.grad_norm_history
         if history.size >= 20 and np.all(np.isfinite(history)):
-            report["rate_envelope"] = rate_envelope(history, mu, c).to_dict()
+            report["rate_envelope"] = asdict(rate_envelope(history))
         else:
             report["rate_envelope"] = {"notes": "fewer than 20 recorded rounds; skipped"}
     except (FedAgmError, OverflowError) as exc:

@@ -12,13 +12,11 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import StructuralError
-
-METRICS_HEADER = "t,train_loss,test_acc,grad_norm_sq,sigma_g,gamma,eta,clients,wall_ms"
 
 
 def fmt17(x: float) -> str:
@@ -26,9 +24,20 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_cell(value) -> str:
+    # Sampled clients are semicolon-joined in slot order so a row keeps one
+    # CSV column per field.
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, list):
+        return ";".join(str(i) for i in value)
+    return fmt17(value)
+
+
 @dataclass
 class RoundMetrics:
-    """One row of the per-round metric log."""
+    """One row of the per-round metric log. The fields, in order, are the
+    columns of metrics.csv and the keys of metrics.jsonl."""
 
     t: int
     train_loss: float
@@ -41,38 +50,13 @@ class RoundMetrics:
     wall_ms: float = 0.0
 
     def to_csv_row(self) -> str:
-        # Sampled clients are semicolon-joined in slot order so the row
-        # stays a fixed 9-column CSV record.
-        who = ";".join(str(i) for i in self.clients)
-        return ",".join(
-            [
-                str(self.t),
-                fmt17(self.train_loss),
-                fmt17(self.test_acc),
-                fmt17(self.grad_norm_sq),
-                fmt17(self.sigma_g),
-                fmt17(self.gamma),
-                fmt17(self.eta),
-                who,
-                fmt17(self.wall_ms),
-            ]
-        )
+        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "train_loss": self.train_loss,
-                "test_acc": self.test_acc,
-                "grad_norm_sq": self.grad_norm_sq,
-                "sigma_g": self.sigma_g,
-                "gamma": self.gamma,
-                "eta": self.eta,
-                "clients": list(self.clients),
-                "wall_ms": self.wall_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(RoundMetrics))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

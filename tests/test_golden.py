@@ -155,7 +155,7 @@ GOLDEN = {
         "metrics.csv": "d57d2d34e6664901",
         "metrics.jsonl": "7a02c7d2e6a72ca8",
         "model.bin": "c04dcf56614c48f1",
-        "bound_report.json": "c9f5f2bb8c1ce9ed",
+        "bound_report.json": "2c1dc95c2a7d7ca2",
         "iterates": "41ad2ce7eebf69cc",
         "drift": "ae8c036d749d63ac",
         "control_variates": "e3b0c44298fc1c14",

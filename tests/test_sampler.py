@@ -1,6 +1,7 @@
 """The vectorised minibatch sampler returns, bit for bit, what sequential
 `Generator.choice(n, batch, replace=False)` calls on each slot's generator
-return, including the draws it must hand back to `choice`."""
+return, including the draws it must hand back to `choice`. The weighted
+client draw is pinned on the raw words of its stream."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from fedagm import (
     MlpTask,
     ParameterError,
     RngStream,
+    SamplingSpec,
     StackedFederation,
     StructuralError,
     run_clients,
     run_local,
+    sample_round,
 )
 from fedagm.local import choice_from_words, draw_minibatches
 
@@ -144,3 +147,36 @@ def test_lockstep_slots_keep_the_bits_of_lone_clients():
         for s, stream in enumerate(streams):
             alone = run_local(task, ClientShard(data, 1.0), x0, cfg, rng=stream)
             np.testing.assert_array_equal(together[s].x_final, alone.x_final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(1, 200),
+    S=st.integers(1, 60),
+    alpha=st.floats(0.05, 5.0),
+    zero_share=st.floats(0.0, 0.9),
+    p_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**63 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+)
+def test_weighted_client_draw_is_a_search_on_raw_words(
+    N, S, alpha, zero_share, p_seed, seed, stream_id
+):
+    # choice(N, S, p=p) with replacement inverts the normalised cdf at S
+    # doubles built from the top 53 bits of S raw 64-bit words.
+    gen = np.random.default_rng(p_seed)
+    p = gen.dirichlet(np.full(N, alpha))
+    p[gen.random(N) < zero_share] = 0.0
+    if not p.any():
+        p[gen.integers(N)] = 1.0
+    p /= p.sum()
+    stream = RngStream(seed, stream_id)
+    drawn = sample_round(p, SamplingSpec(S), stream)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    words = stream.generator().bit_generator.random_raw(S)
+    searched = np.searchsorted(cdf, (words >> 11) * 2.0**-53, side="right")
+    assert np.array_equal(drawn, searched), (
+        f"NumPy {np.__version__}: the weighted client draw no longer inverts the "
+        f"cdf at raw words: choice gave {drawn.tolist()}, the search {searched.tolist()}"
+    )

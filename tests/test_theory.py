@@ -161,6 +161,21 @@ class TestMuPair:
                 2.0 ** (-2 * p) * mu_pair(pw, V1).mu_lower, rel=0.05
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(["epsilon", "power", "softplus", "identity"]),
+        eps=st.floats(1e-12, 1.0),
+        p=st.floats(0.0, 0.5, exclude_min=True),
+        beta=st.floats(1e-2, 1e3),
+        V=st.floats(0.0, 1e4),
+    )
+    def test_band_is_attained_bit_for_bit(self, scheme, eps, p, beta, V):
+        # The band's ends are the stepsizes the server takes at v = V and v = 0.
+        cal = Calibration(scheme, eps=eps, p=p, beta=beta)
+        mu = mu_pair(cal, V)
+        assert mu.mu_lower == 1.0 / calibrate(np.array([V]), cal)[0]
+        assert mu.mu_upper == 1.0 / calibrate(np.array([0.0]), cal)[0]
+
 
 class TestAdmissibility:
     def test_smoothness_branch_binds_for_identity(self):
@@ -321,29 +336,29 @@ class TestRateEnvelope:
     def test_inverse_sqrt_history_satisfies(self):
         t = np.arange(1, 201)
         history = 1.0 / np.sqrt(t)
-        report = rate_envelope(history, MuPair(1.0, 1.0), constants())
+        report = rate_envelope(history)
         assert report.satisfied
         assert "c0" in report.notes
 
     def test_flat_zero_history_satisfies(self):
-        report = rate_envelope(np.zeros(50), MuPair(1.0, 1.0), constants())
+        report = rate_envelope(np.zeros(50))
         assert report.satisfied
 
     def test_increasing_history_fails(self):
         history = np.linspace(0.1, 5.0, 100)
-        report = rate_envelope(history, MuPair(1.0, 1.0), constants())
+        report = rate_envelope(history)
         assert not report.satisfied
 
     def test_divergence_is_flagged(self):
         history = np.ones(40)
         history[-1] = np.inf
-        report = rate_envelope(history, MuPair(1.0, 1.0), constants())
+        report = rate_envelope(history)
         assert not report.satisfied
         assert "diverged" in report.notes
 
     def test_needs_history(self):
         with pytest.raises(StructuralError):
-            rate_envelope(np.ones(5), MuPair(1.0, 1.0), constants())
+            rate_envelope(np.ones(5))
 
 
 class TestSpanViolations:
