@@ -6,22 +6,22 @@ fedagm compare <manifest.json>
     Method grid x seeds; per-cell metric CSVs plus a mean +/- std summary
     table of final test accuracy.
 fedagm partition-report <config.json>
-    Per-client class histograms and an entropy summary over an alpha grid.
+    Per-client class histograms and an entropy summary over an alpha grid,
+    from one dataset per seed.
 
 Exit codes: 0 success, 1 bad config, 2 divergence. Everything runs on the
 calling thread: `run` steps its sampled clients in lockstep, and `compare`
-runs its cells one after another, method by method and seed by seed. No
-environment variable changes what a command computes or writes.
+runs its cells one after another, seed by seed; it parses each seed's config
+once, and every method runs on that seed's problem. No environment variable
+changes what a command computes or writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import os
-import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .config import (
     _get_optional,
     _get_section,
     _get_str,
+    _safe_name,
     build_dataset,
     load_json_file,
     load_manifest,
@@ -64,10 +65,6 @@ from .theory import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
-
-
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
 def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
@@ -160,20 +157,24 @@ def cmd_compare(args) -> int:
 
     by_method: dict[str, list[float]] = {label: [] for label, _ in manifest.methods}
     failures: dict[str, int] = {label: 0 for label, _ in manifest.methods}
-    for label, sec in manifest.methods:
-        for seed in manifest.seeds:
-            obj = copy.deepcopy(manifest.base)
-            obj["server"], obj["seed"] = sec, seed
-            try:
-                result = run_experiment(parse_config(obj, base_dir=manifest.base_dir))
-            except FedAgmError as exc:
-                why = str(exc)
-            else:
-                if result.metrics and not result.diverged:
-                    write_metrics(manifest.out, result.metrics, stem=f"{_safe_name(label)}_seed{seed}")
-                    by_method[label].append(result.metrics[-1].test_acc)
-                    continue
-                why = f"diverged at round {result.divergence_round}"
+    for seed in manifest.seeds:
+        seed_cfg = None  # release the previous seed's problem before building this one
+        try:
+            seed_cfg = parse_config({**manifest.base, "seed": seed}, base_dir=manifest.base_dir)
+        except FedAgmError as exc:
+            why = str(exc)
+        for label, opt in manifest.methods:
+            if seed_cfg is not None:
+                try:
+                    result = run_experiment(replace(seed_cfg, server=opt))
+                except FedAgmError as exc:
+                    why = str(exc)
+                else:
+                    if result.metrics and not result.diverged:
+                        write_metrics(manifest.out, result.metrics, stem=f"{_safe_name(label)}_seed{seed}")
+                        by_method[label].append(result.metrics[-1].test_acc)
+                        continue
+                    why = f"diverged at round {result.divergence_round}"
             failures[label] += 1
             print(f"cell {label} seed {seed}: FAILED ({why})", file=sys.stderr)
 
@@ -208,34 +209,30 @@ def cmd_partition_report(args) -> int:
         out = _get_str(obj, "out", "config", default="partition-out")
         base_dir = os.path.dirname(os.path.abspath(args.config))
         spec = parse_partition(part_sec, "partition")
-        alphas = [spec.alpha] if alpha_grid is None else [float(a) for a in alpha_grid]
         if spec.scheme != "dirichlet":
-            alphas = [None]
+            grid = [(None, spec)]
+        else:
+            alphas = [spec.alpha] if alpha_grid is None else [float(a) for a in alpha_grid]
+            grid = [(a, parse_partition({**part_sec, "alpha": a}, "partition")) for a in alphas]
 
-        summary = ["alpha,mean_entropy,seeds"]
-        for alpha in alphas:
-            entropies = []
-            first_shards = None
-            for seed in seeds:
-                data = build_dataset(dataset_sec, "dataset", seed, base_dir)
-                part_spec = spec if alpha is None else parse_partition(
-                    {**part_sec, "alpha": alpha}, "partition"
-                )
+        # The partition stream depends only on the seed, so each seed's
+        # dataset serves every alpha; the reports show the first seed's shards.
+        entropies = [[] for _ in grid]
+        for i, seed in enumerate(seeds):
+            data = build_dataset(dataset_sec, "dataset", seed, base_dir)
+            for (alpha, part_spec), per_seed in zip(grid, entropies):
                 shards = partition(data, part_spec, RngStream(seed).derive(TAG_PARTITION))
-                entropies.append(
-                    mean_label_entropy(empirical_label_histogram(shards, data.num_classes))
-                )
-                if first_shards is None:
-                    first_shards = (shards, data.num_classes)
-            tag = spec.scheme if alpha is None else f"alpha{fmt17(alpha)}"
-            write_partition_report(
-                os.path.join(out, f"partition_{_safe_name(tag)}.csv"), *first_shards
-            )
-            summary.append(
-                f"{'' if alpha is None else fmt17(alpha)},{fmt17(float(np.mean(entropies)))},{len(seeds)}"
-            )
+                per_seed.append(mean_label_entropy(empirical_label_histogram(shards, data.num_classes)))
+                if i == 0:
+                    tag = spec.scheme if alpha is None else f"alpha{fmt17(alpha)}"
+                    path = os.path.join(out, f"partition_{_safe_name(tag)}.csv")
+                    write_partition_report(path, shards, data.num_classes)
+        summary = ["alpha,mean_entropy,seeds"] + [
+            f"{'' if alpha is None else fmt17(alpha)},{fmt17(float(np.mean(per_seed)))},{len(seeds)}"
+            for (alpha, _), per_seed in zip(grid, entropies)
+        ]
         atomic_write_text(os.path.join(out, "entropy_summary.csv"), "\n".join(summary) + "\n")
-        print(f"{len(alphas)} partition report(s) -> {out}")
+        print(f"{len(grid)} partition report(s) -> {out}")
         return EXIT_OK
     except FedAgmError as exc:
         print(f"config error: {exc}", file=sys.stderr)

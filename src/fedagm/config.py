@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,12 +327,21 @@ def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
     )
 
 
+def _safe_name(label: str) -> str:
+    """`label` as a file-name stem."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
+
+
 @dataclass
 class CompareManifest:
-    """Grid description for the comparison harness."""
+    """Grid description for the comparison harness.
+
+    `base` carries the first method's server section, so it parses as it
+    stands; every cell runs the seed's parsed config with its own method.
+    """
 
     base: dict
-    methods: list[tuple[str, dict]]
+    methods: list[tuple[str, ServerOptimizer]]
     seeds: list[int]
     out: str
     base_dir: str = "."
@@ -352,13 +362,28 @@ def load_manifest(path: str) -> CompareManifest:
     methods_raw = _get(obj, "methods", "manifest")
     if not isinstance(methods_raw, list) or not methods_raw:
         raise ConfigError("manifest.methods: expected a nonempty list")
-    methods = []
+    # Cells are keyed by file stem and seed: a repeat of either would
+    # overwrite a cell's files and pool two methods' rows in summary.csv.
+    methods, stems = [], []
     for i, sec in enumerate(methods_raw):
+        where = f"manifest.methods[{i}]"
         if not isinstance(sec, dict):
-            raise ConfigError(f"manifest.methods[{i}]: expected an object")
-        opt = parse_server(sec, f"manifest.methods[{i}]")
-        label = sec.get("label") or sec.get("name") or recover_baseline(opt)
-        methods.append((str(label), sec))
+            raise ConfigError(f"{where}: expected an object")
+        opt = parse_server(sec, where)
+        label = _get_optional(_get_str, sec, "label", where) or sec.get("name") or recover_baseline(opt)
+        stem = _safe_name(label)
+        if stem in stems:
+            first = stems.index(stem)
+            raise ConfigError(
+                f"{where}: label {label!r} names the same files as "
+                f"manifest.methods[{first}] ({methods[first][0]!r})"
+            )
+        methods.append((label, opt))
+        stems.append(stem)
     seeds = _get_list(obj, "seeds", "manifest", default=[0], integer=True)
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"manifest.seeds[{i}]: seed {seed} is repeated")
     out = _get_str(obj, "out", "manifest", default="compare-out")
+    base = {**base, "server": methods_raw[0]}
     return CompareManifest(base=base, methods=methods, seeds=list(seeds), out=out, base_dir=base_dir)

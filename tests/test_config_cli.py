@@ -4,6 +4,8 @@ All CLI checks call main() in-process so exit codes and file outputs can be
 asserted directly; nothing here shells out.
 """
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 import struct
@@ -12,10 +14,20 @@ import numpy as np
 import pytest
 
 import fedagm
+import fedagm.cli
 from fedagm.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from fedagm.config import build_problem, load_json_file, parse_config
+from fedagm.config import build_dataset, build_problem, load_json_file, parse_config, parse_partition
 from fedagm.errors import ConfigError
+from fedagm.numerics import RngStream
+from fedagm.orchestrator import TAG_PARTITION, run_experiment
+from fedagm.partition import (
+    empirical_label_histogram,
+    mean_label_entropy,
+    partition,
+    write_partition_report,
+)
 from fedagm.serialize import METRICS_HEADER, fmt17, load_model
+from fedagm.server import named_optimizer
 
 
 # The blow-up tests overflow on purpose.
@@ -425,6 +437,11 @@ WRONG_TYPES = [
         {"config": quad_config(), "methods": [{"name": "FedAvg", "eta": 1.0}], "seeds": [True]},
         "manifest.seeds[0]",
     ),
+    (
+        "compare",
+        {"config": quad_config(), "methods": [{"name": "FedAvg", "eta": 1.0, "label": 5}]},
+        "manifest.methods[0].label",
+    ),
 ]
 
 
@@ -532,6 +549,85 @@ class TestCompareCommand:
         boom = [line for line in lines if line.startswith("boom,")][0]
         assert boom.split(",")[4] == "1"
 
+    def test_parses_each_seed_once_and_runs_each_cell_once(self, tmp_path, monkeypatch):
+        parsed, ran = [], []
+
+        def counting_parse(obj, base_dir="."):
+            parsed.append(obj["seed"])
+            return parse_config(obj, base_dir=base_dir)
+
+        def counting_run(cfg):
+            ran.append((cfg.seed, cfg.server.kind, cfg.problem))
+            return run_experiment(cfg)
+
+        monkeypatch.setattr(fedagm.cli, "parse_config", counting_parse)
+        monkeypatch.setattr(fedagm.cli, "run_experiment", counting_run)
+        assert main(["compare", self.manifest(tmp_path, tmp_path / "cmp")]) == EXIT_OK
+        assert parsed == [0, 1]
+        assert [(seed, kind) for seed, kind, _ in ran] == [(0, "avg"), (0, "adam"), (1, "avg"), (1, "adam")]
+        # the methods of one seed run on that seed's one problem
+        assert ran[0][2] is ran[1][2] and ran[2][2] is ran[3][2]
+        assert ran[0][2] is not ran[2][2]
+
+    def test_base_that_fails_to_build_fails_every_cell(self, tmp_path, capsys):
+        base = logistic_config(num_clients=500)  # more clients than samples
+        obj = {
+            "config": base,
+            "methods": [{"name": "FedAvg", "eta": 1.0}, {"name": "FedAdam", "eta": 0.1}],
+            "seeds": [0, 1],
+            "out": str(tmp_path / "cmp"),
+        }
+        assert main(["compare", write_config(tmp_path, obj, name="m.json")]) == EXIT_CONFIG
+        failed = capsys.readouterr().err.splitlines()
+        assert [line.split(": FAILED")[0] for line in failed] == [
+            "cell FedAvg seed 0", "cell FedAdam seed 0", "cell FedAvg seed 1", "cell FedAdam seed 1"
+        ]
+        assert all("partition" in line for line in failed)
+        lines = (tmp_path / "cmp" / "summary.csv").read_text().strip().split("\n")
+        assert [(f[0], f[1], f[4]) for f in (line.split(",") for line in lines[1:])] == [
+            ("FedAvg", "0", "2"), ("FedAdam", "0", "2")
+        ]
+
+    COLLISIONS = [
+        (
+            [{"name": "FedAdam", "eta": 0.1}, {"name": "FedAdam", "eta": 0.01}],
+            [0, 1],
+            "manifest.methods[1]",
+        ),
+        (
+            [{"name": "FedAvg", "eta": 1.0, "label": "a b"}, {"name": "FedAdam", "eta": 0.1, "label": "a_b"}],
+            [0],
+            "manifest.methods[1]",
+        ),
+        ([{"name": "FedAvg", "eta": 1.0}], [0, 1, 0], "manifest.seeds[2]"),
+    ]
+
+    @pytest.mark.parametrize("methods, seeds, where", COLLISIONS, ids=["name", "stem", "seed"])
+    def test_colliding_grid_keys_are_config_errors(self, tmp_path, capsys, methods, seeds, where):
+        out = tmp_path / "cmp"
+        obj = {"config": quad_config(), "methods": methods, "seeds": seeds, "out": str(out)}
+        assert main(["compare", write_config(tmp_path, obj, name="m.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+        assert not out.exists()
+
+    def test_runs_leave_a_shared_problem_unchanged(self):
+        # minibatches smaller than every shard, so the runs draw from the rows
+        cfg = parse_config(logistic_config() | {"local": {"steps": 3, "gamma": 0.05, "batch_size": 2}})
+
+        def digest():
+            h = hashlib.sha256()
+            fed = cfg.problem.stacked
+            for array in (fed.features, fed.labels, fed.sizes, fed.starts, cfg.problem.weights):
+                h.update(array.tobytes())
+            for shard in cfg.problem.shards:
+                h.update(shard.data.features.tobytes() + shard.data.labels.tobytes())
+            return h.hexdigest()
+
+        before = digest()
+        for name, eta in (("FedAvg", 1.0), ("FedYogi", 0.05)):
+            run_experiment(dataclasses.replace(cfg, server=named_optimizer(name, eta)))
+            assert digest() == before
+
 
 class TestPartitionReportCommand:
     def test_alpha_grid_files_and_entropy_order(self, tmp_path):
@@ -560,6 +656,40 @@ class TestPartitionReportCommand:
         assert all(r[2] == "3" for r in rows)
         entropies = [float(r[1]) for r in rows]
         assert entropies[0] < entropies[1] < entropies[2]
+
+    def test_one_dataset_per_seed_matches_direct_partitions(self, tmp_path, monkeypatch):
+        out = tmp_path / "parts"
+        obj = {
+            "dataset": {"source": "blobs", "n": 300, "num_classes": 6, "num_features": 3},
+            "partition": {"scheme": "dirichlet", "num_clients": 8, "alpha": 1.0},
+            "alpha_grid": [0.1, 1.0, 10.0],
+            "seeds": [3, 5, 8],
+            "out": str(out),
+        }
+        built = []
+
+        def counting_build(section, path, seed, base_dir="."):
+            built.append(seed)
+            return build_dataset(section, path, seed, base_dir)
+
+        monkeypatch.setattr(fedagm.cli, "build_dataset", counting_build)
+        assert main(["partition-report", write_config(tmp_path, obj, name="p.json")]) == EXIT_OK
+        assert built == [3, 5, 8]
+
+        summary = ["alpha,mean_entropy,seeds"]
+        for alpha in obj["alpha_grid"]:
+            spec = parse_partition(obj["partition"] | {"alpha": alpha}, "partition")
+            entropies = []
+            for seed in obj["seeds"]:
+                data = build_dataset(obj["dataset"], "dataset", seed)
+                shards = partition(data, spec, RngStream(seed).derive(TAG_PARTITION))
+                entropies.append(mean_label_entropy(empirical_label_histogram(shards, data.num_classes)))
+                if seed == obj["seeds"][0]:
+                    direct = tmp_path / "direct.csv"
+                    write_partition_report(str(direct), shards, data.num_classes)
+                    assert (out / f"partition_alpha{fmt17(alpha)}.csv").read_bytes() == direct.read_bytes()
+            summary.append(f"{fmt17(alpha)},{fmt17(float(np.mean(entropies)))},3")
+        assert (out / "entropy_summary.csv").read_text() == "\n".join(summary) + "\n"
 
     def test_non_dirichlet_scheme_single_report(self, tmp_path):
         out = tmp_path / "parts"

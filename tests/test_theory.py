@@ -374,6 +374,21 @@ class TestSpanViolations:
             bad = calibration_span_violations(calibrate, cal, V, 10_000, RngStream(4))
             assert bad == 0
 
+    def test_softplus_two_ulp_dip_below_mu_lower_is_rounding(self):
+        # 1/calibrate(V - 3 ulps) lands two ulps below mu_lower = 1/calibrate(V)
+        cal = Calibration("softplus", beta=50.0)
+        V = float.fromhex("0x1.349b3d8f31e40p-15")
+        v_dip = V - 3 * np.spacing(V)
+        mu_lower = mu_pair(cal, V).mu_lower
+        dip = 1.0 / calibrate(np.array([v_dip]), cal)[0]
+        assert np.nextafter(np.nextafter(mu_lower, 0.0), 0.0) == dip
+
+        def at_dip(v, cal):
+            # the pinned ends stay; every interior sample is evaluated at v_dip
+            return calibrate(np.where((v == 0.0) | (v == V), v, v_dip), cal)
+
+        assert calibration_span_violations(at_dip, cal, V, 100, RngStream(0)) == 0
+
 
 class TestEstimateConstants:
     def test_quadratic_constants_are_analytic(self):
