@@ -2,8 +2,9 @@
 
 Each case runs `fedagm run` on a small config and hashes the bytes it
 writes, then reruns the config through `run_experiment` with iterates and
-drift recorded and hashes those arrays and the SCAFFOLD variates. The
-digests below were taken with the NumPy named in `GOLDEN_NUMPY`; seeding,
+drift recorded and hashes those arrays and the SCAFFOLD variates. Each grid
+case runs `fedagm compare` or `fedagm partition-report` and hashes every
+file it writes and its stdout. The digests below were taken with the NumPy named in `GOLDEN_NUMPY`; seeding,
 `choice` and the normal and gamma draws may change between NumPy releases,
 so a mismatch names both versions.
 
@@ -11,8 +12,10 @@ A change that moves output bits on purpose prints the new digests with
 `python tests/test_golden.py` and records the move in CHANGES.md.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -95,8 +98,56 @@ CASES = {
     },
 }
 
+GRID_CASES = {
+    "compare-logistic-dirichlet": (
+        "compare",
+        {
+            "config": {
+                "rounds": 6,
+                "eval_every": 2,
+                "task": {"kind": "logistic", "dataset": BLOBS},
+                "partition": {"scheme": "dirichlet", "num_clients": 6, "alpha": 0.5},
+                "local": {"steps": 2, "gamma": 0.1, "batch_size": 5},
+                "sampling": {"clients_per_round": 3},
+                "server": {"name": "FedAvg", "eta": 1.0},
+            },
+            "methods": [
+                {"name": "FedAvg", "eta": 1.0},
+                {"name": "FedAdam", "eta": 0.05, "label": "adam small"},
+                {"kind": "adam", "eta": 0.05, "beta1": 0.9, "beta2": 0.99, "calibration": {"scheme": "epsilon", "eps": 0.1}},
+            ],
+            "seeds": [2, 0],
+        },
+    ),
+    "partition-report-alpha-grid": (
+        "partition-report",
+        {
+            "task": {"dataset": BLOBS | {"n": 200, "num_classes": 5}},
+            "partition": {"scheme": "dirichlet", "num_clients": 7, "alpha": 1.0, "balance": "proportional"},
+            "alpha_grid": [0.05, 0.5, 1, 20.0],
+            "seeds": [4, 1, 9],
+        },
+    ),
+}
+
 # sha256 of each artifact, first 16 hex digits
 GOLDEN = {
+    "compare-logistic-dirichlet": {
+        "FedAvg_seed0.csv": "190fb6722f1f9faf",
+        "FedAvg_seed0.jsonl": "e3d9f5522e07fc4c",
+        "FedAvg_seed2.csv": "2ea605e67cd963da",
+        "FedAvg_seed2.jsonl": "5e2cd139ffb2a9dc",
+        "adam_small_seed0.csv": "f097db291b72ac5d",
+        "adam_small_seed0.jsonl": "ff8e76ab544d83a4",
+        "adam_small_seed2.csv": "c8b5536e90d756a6",
+        "adam_small_seed2.jsonl": "62fbaa423051f1e6",
+        "eps-FedAdam_seed0.csv": "718bc00db1c71ae9",
+        "eps-FedAdam_seed0.jsonl": "213a2c210b125403",
+        "eps-FedAdam_seed2.csv": "932ba46f524801b0",
+        "eps-FedAdam_seed2.jsonl": "86406ca37ca229f4",
+        "summary.csv": "b4841b5742297ee8",
+        "stdout": "07b0f0625e8ace6c",
+    },
     "logistic-sort-prox-decay": {
         "metrics.csv": "c019bab5f5fc85d3",
         "metrics.jsonl": "078fcdb32f63f405",
@@ -114,6 +165,14 @@ GOLDEN = {
         "iterates": "17a8c3494569d6ef",
         "drift": "e3b0c44298fc1c14",
         "control_variates": "e3b0c44298fc1c14",
+    },
+    "partition-report-alpha-grid": {
+        "entropy_summary.csv": "7711bf7b12a3d019",
+        "partition_alpha0.050000000000000003.csv": "50ca44bc842ded74",
+        "partition_alpha0.5.csv": "b3ceb248c3da3ca1",
+        "partition_alpha1.csv": "cb1c4a08e0ffe245",
+        "partition_alpha20.csv": "0c45fb8eda546a84",
+        "stdout": "8ee9edc71ba5c763",
     },
     "quad-diverges": {
         "metrics.csv": "7294fdc2d886ef09",
@@ -191,12 +250,33 @@ def digests(name: str, out: pathlib.Path) -> dict:
     return found
 
 
+def grid_digests(name: str, out: pathlib.Path) -> dict:
+    command, obj = GRID_CASES[name]
+    (out / "config.json").write_text(json.dumps(obj | {"out": "grid"}))
+    stdout = io.StringIO()
+    with contextlib.chdir(out), contextlib.redirect_stdout(stdout):
+        code = main([command, "config.json"])
+    assert code == 0
+    found = {f.name: sha(f.read_bytes()) for f in sorted((out / "grid").iterdir())}
+    found["stdout"] = sha(stdout.getvalue().encode())
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_their_golden_digests(name, tmp_path):
     found = digests(name, tmp_path)
     moved = sorted(key for key, value in found.items() if GOLDEN[name].get(key) != value)
     assert not moved, (
         f"{name}: {moved} moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
+        f"this run used NumPy {np.__version__}; new digests: {found}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_outputs_match_their_golden_digests(name, tmp_path):
+    found = grid_digests(name, tmp_path)
+    assert found == GOLDEN[name], (
+        f"{name}: the files or digests moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
         f"this run used NumPy {np.__version__}; new digests: {found}"
     )
 
@@ -210,6 +290,10 @@ if __name__ == "__main__":
             case_dir = pathlib.Path(tmp) / name
             case_dir.mkdir()
             table[name] = digests(name, case_dir)
+        for name in sorted(GRID_CASES):
+            case_dir = pathlib.Path(tmp) / name
+            case_dir.mkdir()
+            table[name] = grid_digests(name, case_dir)
     print(f"# NumPy {np.__version__}")
     json.dump(table, sys.stdout, indent=4)
     print()
