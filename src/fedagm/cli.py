@@ -9,7 +9,8 @@ fedagm partition-report <config.json>
     Per-client class histograms and an entropy summary over an alpha grid,
     from one dataset per seed.
 
-Exit codes: 0 success, 1 bad config, 2 divergence. Everything runs on the
+Exit codes: 0 success, 1 bad config, 2 divergence; `main` reports every
+ConfigError as `config error: ...` on stderr. Everything runs on the
 calling thread: `run` steps its sampled clients in lockstep, and `compare`
 runs its cells one after another, seed by seed; it parses each seed's config
 once, and every method runs on that seed's problem. No environment variable
@@ -26,33 +27,23 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .config import (
-    _get_list,
-    _get_optional,
-    _get_section,
-    _get_str,
-    _safe_name,
     build_dataset,
     load_json_file,
     load_manifest,
+    load_partition_report,
     parse_config,
-    parse_partition,
+    partition_for_seed,
 )
 from .errors import ConfigError, FedAgmError
 from .numerics import RngStream
 from .orchestrator import (
-    TAG_PARTITION,
     TAG_THEORY,
     ExperimentConfig,
     ExperimentResult,
     initial_point,
     run_experiment,
 )
-from .partition import (
-    empirical_label_histogram,
-    mean_label_entropy,
-    partition,
-    write_partition_report,
-)
+from .partition import empirical_label_histogram, mean_label_entropy, write_partition_report
 from .serialize import atomic_write_text, fmt17, save_model, write_json, write_metrics
 from .theory import (
     compute_V,
@@ -122,16 +113,11 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        obj = load_json_file(args.config)
-        if args.seed is not None and isinstance(obj, dict):
-            obj["seed"] = args.seed
-        cfg = parse_config(obj, base_dir=os.path.dirname(os.path.abspath(args.config)))
-        if args.timing:
-            cfg.record_walltime = True
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    obj = load_json_file(args.config)
+    if args.seed is not None and isinstance(obj, dict):
+        obj["seed"] = args.seed
+    cfg = parse_config(obj, base_dir=os.path.dirname(os.path.abspath(args.config)))
+    cfg.record_walltime = args.timing
     result = run_experiment(cfg)
     out = args.out
     write_metrics(out, result.metrics)
@@ -149,21 +135,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    by_method: dict[str, list[float]] = {label: [] for label, _ in manifest.methods}
-    failures: dict[str, int] = {label: 0 for label, _ in manifest.methods}
+    manifest = load_manifest(args.manifest)
+    by_method: dict[str, list[float]] = {label: [] for label, _, _ in manifest.methods}
+    failures: dict[str, int] = {label: 0 for label, _, _ in manifest.methods}
     for seed in manifest.seeds:
         seed_cfg = None  # release the previous seed's problem before building this one
         try:
             seed_cfg = parse_config({**manifest.base, "seed": seed}, base_dir=manifest.base_dir)
         except FedAgmError as exc:
             why = str(exc)
-        for label, opt in manifest.methods:
+        for label, stem, opt in manifest.methods:
             if seed_cfg is not None:
                 try:
                     result = run_experiment(replace(seed_cfg, server=opt))
@@ -171,7 +152,7 @@ def cmd_compare(args) -> int:
                     why = str(exc)
                 else:
                     if result.metrics and not result.diverged:
-                        write_metrics(manifest.out, result.metrics, stem=f"{_safe_name(label)}_seed{seed}")
+                        write_metrics(manifest.out, result.metrics, stem=f"{stem}_seed{seed}")
                         by_method[label].append(result.metrics[-1].test_acc)
                         continue
                     why = f"diverged at round {result.divergence_round}"
@@ -180,63 +161,35 @@ def cmd_compare(args) -> int:
 
     lines = ["method,seeds,final_test_acc_mean,final_test_acc_std,failures"]
     print(f"{'method':<20} final test accuracy (mean +/- std over seeds)")
-    for label, _ in manifest.methods:
+    for label, stem, _ in manifest.methods:
         accs = np.array(by_method[label])
         mean = float(accs.mean()) if accs.size else float("nan")
         std = float(accs.std(ddof=1)) if accs.size > 1 else 0.0
-        lines.append(
-            f"{_safe_name(label)},{accs.size},{fmt17(mean)},{fmt17(std)},{failures[label]}"
-        )
+        lines.append(f"{stem},{accs.size},{fmt17(mean)},{fmt17(std)},{failures[label]}")
         print(f"{label:<20} {fmt17(mean)} +/- {fmt17(std)}  ({accs.size} seeds)")
     atomic_write_text(os.path.join(manifest.out, "summary.csv"), "\n".join(lines) + "\n")
     return EXIT_OK if any(by_method.values()) else EXIT_CONFIG
 
 
 def cmd_partition_report(args) -> int:
-    try:
-        obj = load_json_file(args.config)
-        if not isinstance(obj, dict):
-            raise ConfigError("config: expected a JSON object")
-        task_sec = obj.get("task")
-        dataset_sec = obj.get("dataset") or (isinstance(task_sec, dict) and task_sec.get("dataset"))
-        if not isinstance(dataset_sec, dict):
-            raise ConfigError("config: needs a 'dataset' object (or task.dataset)")
-        part_sec = _get_section(obj, "partition", "config")
-        seeds = _get_list(obj, "seeds", "config", default=[0], integer=True)
-        if not seeds:
-            raise ConfigError("config.seeds: expected at least one seed")
-        alpha_grid = _get_optional(_get_list, obj, "alpha_grid", "config")
-        out = _get_str(obj, "out", "config", default="partition-out")
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-        spec = parse_partition(part_sec, "partition")
-        if spec.scheme != "dirichlet":
-            grid = [(None, spec)]
-        else:
-            alphas = [spec.alpha] if alpha_grid is None else [float(a) for a in alpha_grid]
-            grid = [(a, parse_partition({**part_sec, "alpha": a}, "partition")) for a in alphas]
-
-        # The partition stream depends only on the seed, so each seed's
-        # dataset serves every alpha; the reports show the first seed's shards.
-        entropies = [[] for _ in grid]
-        for i, seed in enumerate(seeds):
-            data = build_dataset(dataset_sec, "dataset", seed, base_dir)
-            for (alpha, part_spec), per_seed in zip(grid, entropies):
-                shards = partition(data, part_spec, RngStream(seed).derive(TAG_PARTITION))
-                per_seed.append(mean_label_entropy(empirical_label_histogram(shards, data.num_classes)))
-                if i == 0:
-                    tag = spec.scheme if alpha is None else f"alpha{fmt17(alpha)}"
-                    path = os.path.join(out, f"partition_{_safe_name(tag)}.csv")
-                    write_partition_report(path, shards, data.num_classes)
-        summary = ["alpha,mean_entropy,seeds"] + [
-            f"{'' if alpha is None else fmt17(alpha)},{fmt17(float(np.mean(per_seed)))},{len(seeds)}"
-            for (alpha, _), per_seed in zip(grid, entropies)
-        ]
-        atomic_write_text(os.path.join(out, "entropy_summary.csv"), "\n".join(summary) + "\n")
-        print(f"{len(grid)} partition report(s) -> {out}")
-        return EXIT_OK
-    except FedAgmError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = load_partition_report(args.config)
+    # The partition stream depends only on the seed, so each seed's dataset
+    # serves every alpha; the reports show the first seed's shards.
+    entropies = [[] for _ in report.grid]
+    for i, seed in enumerate(report.seeds):
+        data = build_dataset(report.dataset, "dataset", seed, report.base_dir)
+        for (stem, _, spec), per_seed in zip(report.grid, entropies):
+            shards = partition_for_seed(data, spec, seed)
+            per_seed.append(mean_label_entropy(empirical_label_histogram(shards, data.num_classes)))
+            if i == 0:
+                write_partition_report(os.path.join(report.out, f"{stem}.csv"), shards, data.num_classes)
+    summary = ["alpha,mean_entropy,seeds"] + [
+        f"{'' if alpha is None else fmt17(alpha)},{fmt17(float(np.mean(per_seed)))},{len(report.seeds)}"
+        for (_, alpha, _), per_seed in zip(report.grid, entropies)
+    ]
+    atomic_write_text(os.path.join(report.out, "entropy_summary.csv"), "\n".join(summary) + "\n")
+    print(f"{len(report.grid)} partition report(s) -> {report.out}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

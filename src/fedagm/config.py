@@ -2,9 +2,11 @@
 
 The format mirrors the module structure: a `task` section builds the
 federated problem, `sampling`/`local`/`server` map one-to-one onto their
-dataclasses, `schedules` holds the gamma and eta policies. Every validation
-failure is raised as ConfigError with the JSON path of the offending key,
-so a bad config points at itself.
+dataclasses, `schedules` holds the gamma and eta policies. `load_manifest`
+and `load_partition_report` read the `compare` and `partition-report`
+documents. Every validation failure, a non-finite number included, is raised
+as ConfigError with the JSON path of the offending key, so a bad config
+points at itself.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ from .orchestrator import (
 )
 from .partition import ClientShard, PartitionSpec, partition
 from .sampling import SamplingSpec
+from .serialize import fmt17
 from .server import Calibration, ServerOptimizer, named_optimizer, recover_baseline
 from .tasks import (
     Dataset,
@@ -50,10 +54,17 @@ def _get(section: dict, key: str, path: str, default=_REQUIRED):
     return default
 
 
-def _get_number(section, key, path, default=_REQUIRED, minimum=None):
-    value = _get(section, key, path, default)
+def _check_number(value, where: str):
+    """`value` if it is a JSON number in float range (json reads NaN, Infinity and 1e999)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN, which passes `<` checks
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
+def _get_number(section, key, path, default=_REQUIRED, minimum=None):
+    value = _check_number(_get(section, key, path, default), f"{path}.{key}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value!r}")
     return value
@@ -76,15 +87,28 @@ def _get_bool(section, key, path, default=_REQUIRED):
 
 
 def _get_list(section, key, path, default=_REQUIRED, integer=False):
-    """A list of numbers, or of integers if `integer`; a bad item is named by its index."""
+    """A list of finite numbers, or of integers if `integer`; a bad item is named by its index."""
     value = _get(section, key, path, default)
     if not isinstance(value, list):
         raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
-    kind, expected = (int, "an integer") if integer else ((int, float), "a number")
     for i, item in enumerate(value):
-        if not isinstance(item, kind) or isinstance(item, bool):
-            raise ConfigError(f"{path}.{key}[{i}]: expected {expected}, got {item!r}")
+        where = f"{path}.{key}[{i}]"
+        if not integer:
+            _check_number(item, where)
+        elif not isinstance(item, int) or isinstance(item, bool):
+            raise ConfigError(f"{where}: expected an integer, got {item!r}")
     return value
+
+
+def _get_seeds(obj, path) -> list[int]:
+    """A grid's seeds: a nonempty list of distinct integers, [0] when absent."""
+    seeds = _get_list(obj, "seeds", path, default=[0], integer=True)
+    if not seeds:
+        raise ConfigError(f"{path}.seeds: expected at least one seed")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"{path}.seeds[{i}]: seed {seed} is repeated")
+    return list(seeds)
 
 
 def _get_optional(reader, section, key, path, **kwargs):
@@ -128,13 +152,7 @@ def _wrap(path: str, builder, *args, **kwargs):
 
 def parse_calibration(section: dict, path: str) -> Calibration:
     scheme = _get_str(section, "scheme", path)
-    kwargs = {}
-    if "eps" in section:
-        kwargs["eps"] = _get_number(section, "eps", path)
-    if "p" in section:
-        kwargs["p"] = _get_number(section, "p", path)
-    if "beta" in section:
-        kwargs["beta"] = _get_number(section, "beta", path)
+    kwargs = {key: _get_number(section, key, path) for key in ("eps", "p", "beta") if key in section}
     return _wrap(path, Calibration, scheme, **kwargs)
 
 
@@ -142,11 +160,9 @@ def parse_server(section: dict, path: str) -> ServerOptimizer:
     if "name" in section:
         name = _get_str(section, "name", path)
         eta = float(_get_number(section, "eta", path, minimum=0.0))
-        overrides = {}
-        if "beta1" in section:
-            overrides["beta1"] = float(_get_number(section, "beta1", path))
-        if "beta2" in section:
-            overrides["beta2"] = float(_get_number(section, "beta2", path))
+        overrides = {
+            key: float(_get_number(section, key, path)) for key in ("beta1", "beta2") if key in section
+        }
         if "calibration" in section:
             overrides["calibration"] = parse_calibration(
                 _get_section(section, "calibration", path), path + ".calibration"
@@ -219,7 +235,9 @@ def parse_partition(section: dict, path: str) -> PartitionSpec:
 def build_dataset(section: dict, path: str, seed: int, base_dir: str = ".") -> Dataset:
     source = _get_str(section, "source", path, choices=("blobs", "idx"))
     if source == "blobs":
-        return make_blobs_dataset(
+        return _wrap(
+            path,
+            make_blobs_dataset,
             n=_get_int(section, "n", path, minimum=1),
             num_classes=_get_int(section, "num_classes", path, minimum=2),
             num_features=_get_int(section, "num_features", path, minimum=1),
@@ -229,10 +247,12 @@ def build_dataset(section: dict, path: str, seed: int, base_dir: str = ".") -> D
         )
     images = os.path.join(base_dir, _get_str(section, "images", path))
     labels = os.path.join(base_dir, _get_str(section, "labels", path))
-    try:
-        return load_idx_dataset(images, labels)
-    except FedAgmError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _wrap(path, load_idx_dataset, images, labels)
+
+
+def partition_for_seed(data: Dataset, spec: PartitionSpec, seed: int) -> list[ClientShard]:
+    """`data` cut into shards by `spec`, drawn from `seed`'s partition stream."""
+    return _wrap("partition", partition, data, spec, RngStream(seed).derive(TAG_PARTITION))
 
 
 def _split_train_test(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -296,8 +316,7 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
     test_fraction = float(_get_number(task_sec, "test_fraction", "task", default=0.2))
     train, test = _split_train_test(data, test_fraction, seed)
     spec = parse_partition(_get_section(obj, "partition", "config"), "partition")
-    shards = _wrap("partition", partition, train, spec, RngStream(seed).derive(TAG_PARTITION))
-    return FederatedProblem([task] * spec.N, shards, test_data=test)
+    return FederatedProblem([task] * spec.N, partition_for_seed(train, spec, seed), test_data=test)
 
 
 def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -338,10 +357,11 @@ class CompareManifest:
 
     `base` carries the first method's server section, so it parses as it
     stands; every cell runs the seed's parsed config with its own method.
+    `methods` holds each method's (label, file stem, optimizer).
     """
 
     base: dict
-    methods: list[tuple[str, ServerOptimizer]]
+    methods: list[tuple[str, str, ServerOptimizer]]
     seeds: list[int]
     out: str
     base_dir: str = "."
@@ -364,7 +384,7 @@ def load_manifest(path: str) -> CompareManifest:
         raise ConfigError("manifest.methods: expected a nonempty list")
     # Cells are keyed by file stem and seed: a repeat of either would
     # overwrite a cell's files and pool two methods' rows in summary.csv.
-    methods, stems = [], []
+    methods = []
     for i, sec in enumerate(methods_raw):
         where = f"manifest.methods[{i}]"
         if not isinstance(sec, dict):
@@ -372,18 +392,65 @@ def load_manifest(path: str) -> CompareManifest:
         opt = parse_server(sec, where)
         label = _get_optional(_get_str, sec, "label", where) or sec.get("name") or recover_baseline(opt)
         stem = _safe_name(label)
-        if stem in stems:
-            first = stems.index(stem)
-            raise ConfigError(
-                f"{where}: label {label!r} names the same files as "
-                f"manifest.methods[{first}] ({methods[first][0]!r})"
-            )
-        methods.append((label, opt))
-        stems.append(stem)
-    seeds = _get_list(obj, "seeds", "manifest", default=[0], integer=True)
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ConfigError(f"manifest.seeds[{i}]: seed {seed} is repeated")
+        for first, (other, other_stem, _) in enumerate(methods):
+            if stem == other_stem:
+                raise ConfigError(
+                    f"{where}: label {label!r} names the same files as "
+                    f"manifest.methods[{first}] ({other!r})"
+                )
+        methods.append((label, stem, opt))
+    seeds = _get_seeds(obj, "manifest")
     out = _get_str(obj, "out", "manifest", default="compare-out")
     base = {**base, "server": methods_raw[0]}
-    return CompareManifest(base=base, methods=methods, seeds=list(seeds), out=out, base_dir=base_dir)
+    return CompareManifest(base=base, methods=methods, seeds=seeds, out=out, base_dir=base_dir)
+
+
+@dataclass
+class PartitionReport:
+    """Grid description for the partition report: one dataset per seed.
+
+    `grid` holds each report's (file stem, alpha or None, spec): one entry
+    per `alpha_grid` item, which replaces `partition.alpha`, or else the
+    `partition` section as it stands.
+    """
+
+    dataset: dict
+    grid: list[tuple[str, float | None, PartitionSpec]]
+    seeds: list[int]
+    out: str
+    base_dir: str = "."
+
+
+def load_partition_report(path: str) -> PartitionReport:
+    obj = load_json_file(path)
+    if not isinstance(obj, dict):
+        raise ConfigError("config: expected a JSON object")
+    task_sec = obj.get("task")
+    dataset = obj.get("dataset") or (isinstance(task_sec, dict) and task_sec.get("dataset"))
+    if not isinstance(dataset, dict):
+        raise ConfigError("config: needs a 'dataset' object (or task.dataset)")
+    part_sec = _get_section(obj, "partition", "config")
+    seeds = _get_seeds(obj, "config")
+    alpha_grid = _get_optional(_get_list, obj, "alpha_grid", "config")
+    out = _get_str(obj, "out", "config", default="partition-out")
+    if alpha_grid is None:
+        spec = parse_partition(part_sec, "partition")
+        alphas = [spec.alpha] if spec.scheme == "dirichlet" else [None]
+        specs = [spec]
+    else:
+        scheme = _get_str(part_sec, "scheme", "partition")
+        if scheme != "dirichlet":
+            raise ConfigError(f"config.alpha_grid: needs the dirichlet scheme, got {scheme!r}")
+        if not alpha_grid:
+            raise ConfigError("config.alpha_grid: expected at least one alpha")
+        for i, alpha in enumerate(alpha_grid):
+            if alpha <= 0:
+                raise ConfigError(f"config.alpha_grid[{i}]: expected an alpha > 0, got {alpha!r}")
+        alphas = [float(a) for a in alpha_grid]
+        specs = [parse_partition({**part_sec, "alpha": a}, "partition") for a in alphas]
+    grid = [
+        (f"partition_{_safe_name(spec.scheme if a is None else f'alpha{fmt17(a)}')}", a, spec)
+        for a, spec in zip(alphas, specs)
+    ]
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return PartitionReport(dataset=dataset, grid=grid, seeds=seeds, out=out, base_dir=base_dir)

@@ -75,12 +75,12 @@ class LocalConfig:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.K < 1:
             raise ParameterError("K must be >= 1")
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ParameterError("gamma must be finite and > 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if self.prox_mu < 0:
-            raise ParameterError("prox_mu must be >= 0")
+        if not 0 <= self.prox_mu < math.inf:
+            raise ParameterError("prox_mu must be finite and >= 0")
 
 
 @dataclass

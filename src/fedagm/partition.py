@@ -54,8 +54,8 @@ class PartitionSpec:
         if self.N < 1:
             raise ParameterError("N must be >= 1")
         if self.scheme == "dirichlet":
-            if self.alpha is None or self.alpha <= 0:
-                raise ParameterError("dirichlet scheme needs alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < np.inf:
+                raise ParameterError("dirichlet scheme needs a finite alpha > 0")
         if self.scheme == "sort":
             if self.classes_per_client is None or self.classes_per_client < 1:
                 raise ParameterError("sort scheme needs classes_per_client >= 1")

@@ -38,12 +38,12 @@ class Calibration:
     def __post_init__(self):
         if self.scheme not in CALIBRATION_SCHEMES:
             raise ParameterError(f"scheme must be one of {CALIBRATION_SCHEMES}, got {self.scheme!r}")
-        if self.scheme in ("epsilon", "power") and self.eps <= 0:
-            raise ParameterError("eps must be > 0")
+        if self.scheme in ("epsilon", "power") and not 0 < self.eps < np.inf:
+            raise ParameterError("eps must be finite and > 0")
         if self.scheme == "power" and not 0 < self.p <= 0.5:
             raise ParameterError("power exponent must lie in (0, 1/2]")
-        if self.scheme == "softplus" and self.beta <= 0:
-            raise ParameterError("softplus beta must be > 0")
+        if self.scheme == "softplus" and not 0 < self.beta < np.inf:
+            raise ParameterError("softplus beta must be finite and > 0")
 
 
 IDENTITY = Calibration("identity")
@@ -62,8 +62,8 @@ class ServerOptimizer:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.eta <= 0:
-            raise ParameterError("eta must be > 0")
+        if not 0 < self.eta < np.inf:
+            raise ParameterError("eta must be finite and > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ParameterError("beta1 and beta2 must lie in [0, 1)")
         if self.kind in ("avg", "momentum"):

@@ -84,8 +84,8 @@ class QuadraticTask:
             raise StructuralError("curvature and center must be equal-length vectors")
         if np.any(self.curvature <= 0):
             raise ParameterError("quadratic curvature must be strictly positive")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ParameterError("weight_decay must be finite and >= 0")
 
     @property
     def dim(self) -> int:
@@ -104,8 +104,8 @@ class LogisticRegressionTask:
     def __post_init__(self):
         if self.num_features < 1 or self.num_classes < 2:
             raise ParameterError("need num_features >= 1 and num_classes >= 2")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ParameterError("weight_decay must be finite and >= 0")
 
     @property
     def dim(self) -> int:
@@ -125,8 +125,8 @@ class MlpTask:
     def __post_init__(self):
         if min(self.num_features, self.hidden) < 1 or self.num_classes < 2:
             raise ParameterError("need positive layer widths and num_classes >= 2")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ParameterError("weight_decay must be finite and >= 0")
 
     @property
     def dim(self) -> int:

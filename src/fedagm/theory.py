@@ -437,6 +437,8 @@ def calibration_span_violations(
     rng: RngStream | np.random.Generator,
 ) -> int:
     """Count sampled v in [0, V] where 1/calibrate(v) leaves [mu_lower, mu_upper]."""
+    if num_samples < 1:
+        raise ParameterError(f"num_samples must be >= 1, got {num_samples}")
     mu = mu_pair(cal, V)
     gen = as_generator(rng)
     v = gen.uniform(0.0, V, num_samples)

@@ -17,7 +17,7 @@ import fedagm
 import fedagm.cli
 from fedagm.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from fedagm.config import build_dataset, build_problem, load_json_file, parse_config, parse_partition
-from fedagm.errors import ConfigError
+from fedagm.errors import ConfigError, ParameterError
 from fedagm.numerics import RngStream
 from fedagm.orchestrator import TAG_PARTITION, run_experiment
 from fedagm.partition import (
@@ -458,6 +458,67 @@ def test_wrong_json_type_is_a_config_error_naming_its_path(tmp_path, capsys, com
     assert not out.exists()
 
 
+NON_FINITE = [
+    ("local.gamma", "NaN"),
+    ("local.gamma", "Infinity"),
+    ("local.gamma", "1e999"),
+    ("local.gamma", "1" + "0" * 400),
+    ("server.eta", "NaN"),
+    ("server.calibration.eps", "NaN"),
+    ("task.weight_decay", "NaN"),
+    ("local.prox_mu", "NaN"),
+    ("task.dataset.noise", "NaN"),
+    ("task.test_fraction", "NaN"),
+    ("partition.alpha", "NaN"),
+    ("schedules.gamma.fractions[0]", "-Infinity"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, literal", NON_FINITE, ids=[f"{where}={literal[:8]}" for where, literal in NON_FINITE]
+)
+def test_non_finite_number_is_a_config_error_naming_its_path(tmp_path, capsys, where, literal):
+    # json reads NaN, Infinity and 1e999; each used to end in a divergence or a traceback
+    obj = logistic_config() | {
+        "server": {"name": "FedAdam", "eta": 0.1, "calibration": {"scheme": "epsilon", "eps": 0.01}},
+        "schedules": {"gamma": {"kind": "multistage", "fractions": [0.5]}},
+    }
+    *sections, key = where.replace("[0]", ".0").split(".")
+    node = obj
+    for name in sections:
+        node = node[name]
+    node[int(key) if key.isdigit() else key] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {where}: expected a finite number, got ")
+    assert not out.exists()
+
+
+nan, inf = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: fedagm.LocalConfig(K=1, gamma=nan, batch_size=1), id="gamma-nan"),
+        pytest.param(lambda: fedagm.LocalConfig(K=1, gamma=inf, batch_size=1), id="gamma-inf"),
+        pytest.param(lambda: fedagm.LocalConfig(K=1, gamma=0.1, batch_size=1, prox_mu=nan), id="prox_mu-nan"),
+        pytest.param(lambda: fedagm.ServerOptimizer("adam", nan, 0.9, 0.99), id="eta-nan"),
+        pytest.param(lambda: fedagm.Calibration("epsilon", eps=nan), id="eps-nan"),
+        pytest.param(lambda: fedagm.Calibration("softplus", beta=inf), id="beta-inf"),
+        pytest.param(lambda: fedagm.PartitionSpec("dirichlet", 4, alpha=nan), id="alpha-nan"),
+        pytest.param(lambda: fedagm.LogisticRegressionTask(3, 2, weight_decay=nan), id="logistic-wd-nan"),
+        pytest.param(lambda: fedagm.MlpTask(3, 4, 2, weight_decay=inf), id="mlp-wd-inf"),
+        pytest.param(lambda: fedagm.QuadraticTask([1.0], [0.0], weight_decay=nan), id="quadratic-wd-nan"),
+    ],
+)
+def test_constructors_reject_non_finite_hyperparameters(build):
+    with pytest.raises(ParameterError, match="finite"):
+        build()
+
+
 def test_no_module_reads_the_environment():
     # a run is a function of its config and seed; no environment variable may change it
     for path in sorted(pathlib.Path(fedagm.__file__).parent.glob("*.py")):
@@ -610,6 +671,13 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith(f"config error: {where}: ")
         assert not out.exists()
 
+    def test_empty_seed_list_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        obj = {"config": quad_config(), "methods": [{"name": "FedAvg", "eta": 1.0}], "seeds": [], "out": str(out)}
+        assert main(["compare", write_config(tmp_path, obj, name="m.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: manifest.seeds: expected at least one seed\n"
+        assert not out.exists()
+
     def test_runs_leave_a_shared_problem_unchanged(self):
         # minibatches smaller than every shard, so the runs draw from the rows
         cfg = parse_config(logistic_config() | {"local": {"steps": 3, "gamma": 0.05, "batch_size": 2}})
@@ -735,6 +803,39 @@ class TestPartitionReportCommand:
 
     def test_out_must_be_a_string(self, tmp_path, capsys):
         self.check_config_error(tmp_path, capsys, self.REPORT | {"out": 5}, "config.out")
+
+    GRID_ERRORS = [
+        ({"seeds": [0, 0, 1]}, "config.seeds[1]: seed 0 is repeated"),
+        ({"alpha_grid": []}, "config.alpha_grid: "),
+        ({"alpha_grid": [0.5], "partition": {"scheme": "sort", "num_clients": 2, "classes_per_client": 1}}, "config.alpha_grid: "),
+        ({"alpha_grid": [0.5, 0]}, "config.alpha_grid[1]: "),
+        ({"alpha_grid": [-1.0]}, "config.alpha_grid[0]: "),
+    ]
+
+    @pytest.mark.parametrize(
+        "over, where", GRID_ERRORS, ids=["repeated-seed", "empty-grid", "sort-scheme", "zero-alpha", "negative-alpha"]
+    )
+    def test_grid_rules_are_config_errors(self, tmp_path, capsys, over, where):
+        out = tmp_path / "parts"
+        path = write_config(tmp_path, self.REPORT | over | {"out": str(out)}, name="p.json")
+        assert main(["partition-report", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
+        assert not out.exists()
+
+    def test_alpha_grid_does_not_read_partition_alpha(self, tmp_path):
+        part = {"scheme": "dirichlet", "num_clients": 3}
+        outs = []
+        for name, section in (("placeholder", part | {"alpha": 7.0}), ("absent", part)):
+            outs.append(tmp_path / name)
+            obj = self.REPORT | {"partition": section, "alpha_grid": [0.2, 2.0], "seeds": [1, 2], "out": str(outs[-1])}
+            assert main(["partition-report", write_config(tmp_path, obj, name=f"{name}.json")]) == EXIT_OK
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == ["entropy_summary.csv", "partition_alpha0.20000000000000001.csv", "partition_alpha2.csv"]
+        assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+
+    def test_partition_failure_names_the_partition_section(self, tmp_path, capsys):
+        obj = self.REPORT | {"partition": {"scheme": "uniform", "num_clients": 500}, "out": str(tmp_path / "parts")}
+        self.check_config_error(tmp_path, capsys, obj, "config error: partition: ")
 
 
 class TestThreadEnv:

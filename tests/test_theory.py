@@ -389,6 +389,11 @@ class TestSpanViolations:
 
         assert calibration_span_violations(at_dip, cal, V, 100, RngStream(0)) == 0
 
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_needs_at_least_one_sample(self, num_samples):
+        with pytest.raises(ParameterError, match="num_samples"):
+            calibration_span_violations(calibrate, Calibration("identity"), 1.0, num_samples, RngStream(0))
+
 
 class TestEstimateConstants:
     def test_quadratic_constants_are_analytic(self):
