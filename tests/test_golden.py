@@ -87,6 +87,17 @@ CASES = {
         "sampling": {"clients_per_round": 6, "mode": "full"},
         "server": {"name": "FedYogi", "eta": 0.05},
     },
+    "mlp-wide-scaffold-blocks": {
+        # d = 13124: the 6 slots, the 7 clients' evaluation group and the
+        # noise probe's 8 draws each span several row blocks
+        "seed": 10,
+        "rounds": 4,
+        "task": {"kind": "mlp", "hidden": 64, "weight_decay": 0.001, "dataset": BLOBS | {"n": 200, "num_features": 200}},
+        "partition": {"scheme": "dirichlet", "num_clients": 7, "alpha": 0.5},
+        "local": {"steps": 2, "gamma": 0.05, "batch_size": 5, "variant": "scaffold"},
+        "sampling": {"clients_per_round": 6},
+        "server": {"name": "FedAdam", "eta": 0.05},
+    },
     "quad-diverges": {
         "seed": 9,
         "rounds": 30,
@@ -165,6 +176,15 @@ GOLDEN = {
         "iterates": "17a8c3494569d6ef",
         "drift": "e3b0c44298fc1c14",
         "control_variates": "e3b0c44298fc1c14",
+    },
+    "mlp-wide-scaffold-blocks": {
+        "metrics.csv": "31a300ee441f7213",
+        "metrics.jsonl": "c25eeb251d75b3d2",
+        "model.bin": "5b9a9194fd648738",
+        "bound_report.json": "a46d8e09c4af488e",
+        "iterates": "f8c6508a438a8ff6",
+        "drift": "7492d4977e4317a7",
+        "control_variates": "f9990df9cabaff76",
     },
     "partition-report-alpha-grid": {
         "entropy_summary.csv": "7711bf7b12a3d019",
