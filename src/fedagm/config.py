@@ -70,13 +70,28 @@ def _get_number(section, key, path, default=_REQUIRED, minimum=None):
     return value
 
 
-def _get_int(section, key, path, default=_REQUIRED, minimum=None):
-    value = _get(section, key, path, default)
+_INT64 = range(-(2**63), 2**63)
+
+
+def _check_int(value, where: str, minimum=None, int64=True):
+    """`value` if it is a JSON integer of at least `minimum`. With int64 it
+    must also fit in NumPy's int64, as every key that sizes an array must;
+    only seeds, which are hashed as Python ints, take any size."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value!r}")
+    if int64 and value not in _INT64:
+        raise ConfigError(f"{where}: expected an integer in int64 range, got {value!r}")
     return value
+
+
+def _check_seed(value, where: str):
+    return _check_int(value, where, int64=False)
+
+
+def _get_int(section, key, path, default=_REQUIRED, minimum=None):
+    return _check_int(_get(section, key, path, default), f"{path}.{key}", minimum)
 
 
 def _get_bool(section, key, path, default=_REQUIRED):
@@ -86,23 +101,20 @@ def _get_bool(section, key, path, default=_REQUIRED):
     return value
 
 
-def _get_list(section, key, path, default=_REQUIRED, integer=False):
-    """A list of finite numbers, or of integers if `integer`; a bad item is named by its index."""
+def _get_list(section, key, path, default=_REQUIRED, item=_check_number):
+    """A list whose every item passes `item` (finite numbers by default); a
+    bad item is named by its index."""
     value = _get(section, key, path, default)
     if not isinstance(value, list):
         raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
-    for i, item in enumerate(value):
-        where = f"{path}.{key}[{i}]"
-        if not integer:
-            _check_number(item, where)
-        elif not isinstance(item, int) or isinstance(item, bool):
-            raise ConfigError(f"{where}: expected an integer, got {item!r}")
+    for i, entry in enumerate(value):
+        item(entry, f"{path}.{key}[{i}]")
     return value
 
 
 def _get_seeds(obj, path) -> list[int]:
     """A grid's seeds: a nonempty list of distinct integers, [0] when absent."""
-    seeds = _get_list(obj, "seeds", path, default=[0], integer=True)
+    seeds = _get_list(obj, "seeds", path, default=[0], item=_check_seed)
     if not seeds:
         raise ConfigError(f"{path}.seeds: expected at least one seed")
     for i, seed in enumerate(seeds):
@@ -140,6 +152,8 @@ def load_json_file(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer of over 4300 digits
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _wrap(path: str, builder, *args, **kwargs):
@@ -219,7 +233,7 @@ def parse_sampling(section: dict, path: str) -> SamplingSpec:
 
 
 def parse_partition(section: dict, path: str) -> PartitionSpec:
-    groups = _get_optional(_get_list, section, "class_groups", path, integer=True)
+    groups = _get_optional(_get_list, section, "class_groups", path, item=_check_int)
     return _wrap(
         path,
         PartitionSpec,
@@ -322,7 +336,7 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
 def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be a JSON object")
-    seed = _get_int(obj, "seed", "config", default=0)
+    seed = _check_seed(_get(obj, "seed", "config", default=0), "config.seed")
     problem = build_problem(obj, seed, base_dir)
     schedules = _get_section(obj, "schedules", "config", default={})
     gamma_sched = ScheduleSpec()

@@ -50,7 +50,7 @@ from .partition import ClientShard
 
 # stochastic_gradient is not called here; it stays bound in this module for
 # code that wraps this module's names.
-from .tasks import StackedFederation, Task, stochastic_gradient  # noqa: F401
+from .tasks import StackedFederation, Task, row_blocks, stochastic_gradient  # noqa: F401
 
 VARIANTS = ("sgd", "prox", "scaffold")
 
@@ -202,8 +202,11 @@ def run_clients(
     Slot s draws its minibatches from the start of stream `rngs[s]`, all of
     a group's draws at once (`draw_minibatches`); only the lanes of groups
     that draw are derived and seeded, so a slot that takes its full batch
-    costs no stream. With record=True each
-    result keeps its iterate trajectory [x_0 .. x_K].
+    costs no stream. Each step takes the group's data gradients in one
+    kernel call, then updates x a row block of slots at a time
+    (`tasks.row_blocks`), so a wide model's (S, d) arrays meet each op in
+    cache and the only scratch is one block. With record=True each result
+    keeps its iterate trajectory [x_0 .. x_K].
     The scaffold variant needs the server variate; `client_cvs` holds one
     client variate per slot and defaults to zeros.
     """
@@ -232,26 +235,45 @@ def run_clients(
     results: list[LocalResult | None] = [None] * S
     for (batch, steps, full), slots in groups.items():
         ci = clients[slots]
-        if cfg.variant == "scaffold":
-            group_cvs = client_cvs[slots]
-        # x and direction are updated in place: each op gives the bits of
-        # x - gamma * direction, and large models skip two allocations a step
         x = np.repeat(x_start[None], len(slots), axis=0)
         direction = np.empty_like(x)
-        scratch = np.empty_like(x)
+        decay = fed.decay_column(ci)
+        if cfg.variant == "scaffold":
+            group_cvs = client_cvs[slots]
+        # After the kernel writes the data gradient, each row block of x and
+        # direction takes the rest of the step while it is in cache: the
+        # weight decay, the prox or SCAFFOLD correction, the stepsize and
+        # the update, each op in place and in the order that gives
+        # x - gamma * direction its bits. The views are taken once a group,
+        # so a one-block model pays no per-step cost for the blocking.
+        sweeps = [
+            (
+                x[b],
+                direction[b],
+                scratch,
+                None if decay is None else decay[b],
+                group_cvs[b] if cfg.variant == "scaffold" else None,
+            )
+            for b, scratch in row_blocks(len(slots), d)
+        ]
         trajectory = [x.copy()] if record else []
         if not full:
             draws = draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
             rows = fed.starts[ci, None, None] + draws
         for k in range(steps):
-            fed.gradients(ci, x, None if full else rows[:, k], out=direction, scratch=scratch)
-            if cfg.variant == "prox":
-                direction += cfg.prox_mu * (x - x_start)
-            elif cfg.variant == "scaffold":
-                direction -= group_cvs
-                direction += server_cv
-            direction *= cfg.gamma
-            x -= direction
+            fed.data_gradients(ci, x, None if full else rows[:, k], out=direction)
+            for xb, db, scratch, decay_b, cvs_b in sweeps:
+                if decay_b is not None:
+                    db += np.multiply(xb, decay_b, out=scratch)
+                if cfg.variant == "prox":
+                    np.subtract(xb, x_start, out=scratch)
+                    scratch *= cfg.prox_mu
+                    db += scratch
+                elif cfg.variant == "scaffold":
+                    db -= cvs_b
+                    db += server_cv
+                db *= cfg.gamma
+                xb -= db
             if record:
                 trajectory.append(x.copy())
 

@@ -326,6 +326,28 @@ def evaluate(task: Task, data: Dataset, x: ParamVector) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Row blocks
+
+# Every elementwise sweep over a (rows, d) stack of float64 runs over blocks
+# of consecutive rows of at most this many bytes, so that a block stays in
+# cache between the sweep's operations. Each element still goes through the
+# same operations in the same order, so the blocking moves no bit.
+BLOCK_BYTES = 512 * 1024
+
+
+def row_blocks(rows: int, d: int) -> list[tuple[slice, np.ndarray]]:
+    """Slices of consecutive rows covering `rows` rows of d float64s, each
+    within BLOCK_BYTES but never less than one row, and each paired with a
+    scratch array of its shape; the scratch arrays share one buffer."""
+    step = max(1, BLOCK_BYTES // (8 * d))
+    buffer = np.empty((min(step, rows), d))
+    return [
+        (slice(lo, min(lo + step, rows)), buffer[: min(step, rows - lo)])
+        for lo in range(0, rows, step)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # One stacked federation
 
 
@@ -427,14 +449,18 @@ class StackedFederation:
             groups.append((ci, feats, self.labels[rows].reshape(shape)))
         return groups
 
-    def gradients(self, clients, x, rows=None, out=None, scratch=None) -> np.ndarray:
-        """(S, d) gradients, weight decay included, written into out if given.
+    def decay_column(self, clients) -> np.ndarray | None:
+        """Weight decay of each of `clients` as an (S, 1) column, or None when
+        every client's decay is 0 and the term is left out."""
+        return None if self.shared_decay == 0.0 else self.weight_decay[clients, None]
+
+    def data_gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
+        """(S, d) mean gradients without weight decay, written into out if given.
 
         Row s is client `clients[s]`'s mean gradient at `x[s]` over the
         global rows `rows[s]`; with rows None, over all of its data (a data
         task's clients must then share one shard size; quadratics are
-        analytic). `scratch`, an (S, d) buffer a caller reuses across
-        calls, takes a shared weight-decay term; a temporary if None.
+        analytic).
         """
         clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
@@ -453,11 +479,18 @@ class StackedFederation:
         else:
             kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
             kernel(self.task, self.features[rows], self.labels[rows], x, out)
-        decay = self.shared_decay
-        if decay is None:
-            out += self.weight_decay[clients, None] * x
-        elif decay != 0.0:
-            out += np.multiply(x, decay, out=scratch)
+        return out
+
+    def gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
+        """`data_gradients` with each client's weight decay added, a row
+        block at a time."""
+        clients = np.asarray(clients, dtype=np.int64)
+        out = self.data_gradients(clients, x, rows, out)
+        decay = self.decay_column(clients)
+        if decay is not None:
+            for b, scratch in row_blocks(len(out), self.dim):
+                block = out[b]
+                block += np.multiply(x[b], decay[b], out=scratch)
         return out
 
 
@@ -468,50 +501,60 @@ def client_evaluation(
     entry i equals evaluate(task_i, data_i, x)[0] and row i
     full_gradient(task_i, data_i, x), bit for bit.
 
-    One pass over the shard-size groups, each a view of the stacked rows
-    run through the stacked kernels; a data task takes a group's losses and
-    gradients from one forward pass.
+    One pass over the shard-size groups, each a view of the stacked rows,
+    taken a row block of clients at a time (`row_blocks` of d-wide rows)
+    through the stacked kernels; a data task takes a block's losses and
+    gradients from one forward pass, and its weight decay is added while
+    the block is in cache. A block of consecutive ids writes straight into
+    the outputs, any other goes through a block-sized buffer.
     """
     x = _check_dim(fed.task, x)
     kernel = _logistic_grad if isinstance(fed.task, LogisticRegressionTask) else _mlp_grad
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
+    decay = fed.decay_column(slice(None)) if gradients else None
     for ci, feats, labels in fed.size_groups:
-        xs = np.broadcast_to(x, (ci.size, x.size))
-        if fed.curvature is not None:
-            curvature = fed.curvature[ci, :, None]
-            dx = x - feats
-            dz = feats - fed.center[ci, None]
-            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
-            losses[ci] = _mean_losses(sample)
-        elif not gradients:
-            # negating before the sum is exact: rounding is symmetric in sign
-            sample = -_label_log_probs(_logits(fed.task, feats, xs)[0], labels)
-            losses[ci] = _mean_losses(sample)
-        elif ci.size == fed.N:
-            kernel(fed.task, feats, labels, xs, grads, losses)
-        else:
-            group = np.empty(ci.size)
-            grads[ci] = kernel(fed.task, feats, labels, xs, np.empty(xs.shape), group)
-            losses[ci] = group
-    if gradients:
-        if fed.curvature is not None:
-            _quadratic_grad(fed.curvature, fed.center, x, out=grads)
-        decay = fed.shared_decay
-        if decay is None:
-            grads += fed.weight_decay[:, None] * x
-        elif decay != 0.0:
-            grads += decay * x
+        for b, scratch in row_blocks(ci.size, x.size):
+            ids, f, y = ci[b], feats[b], labels[b]
+            xs = np.broadcast_to(x, (ids.size, x.size))
+            view = int(ids[-1]) - int(ids[0]) == ids.size - 1
+            at = slice(int(ids[0]), int(ids[-1]) + 1) if view else ids
+            if gradients:
+                g = grads[at] if view else np.empty(xs.shape)
+            if fed.curvature is not None:
+                curvature = fed.curvature[at, :, None]
+                dx = x - f
+                dz = f - fed.center[at, None]
+                sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
+                losses[at] = _mean_losses(sample)
+                if gradients:
+                    _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
+            elif not gradients:
+                # negating before the sum is exact: rounding is symmetric in sign
+                sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
+                losses[at] = _mean_losses(sample)
+            else:
+                block_losses = np.empty(ids.size)
+                kernel(fed.task, f, y, xs, g, block_losses)
+                losses[at] = block_losses
+            if gradients:
+                if decay is not None:
+                    g += np.multiply(xs, decay[at], out=scratch)
+                if not view:
+                    grads[at] = g
     return losses, grads
 
 
 def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
     """(p-weighted mean gradient, sum_i p_i ||grad_i - mean||^2) of an (N, d)
-    stack of client gradients, with one (N, d) temporary."""
+    stack of client gradients; the gaps are formed one row block at a time."""
     mean = p @ grads
-    gaps = grads - mean
-    gaps *= gaps
-    return mean, float(p @ gaps.sum(axis=1))
+    norms = np.empty(len(grads))
+    for b, gaps in row_blocks(len(grads), grads.shape[1]):
+        np.subtract(grads[b], mean, out=gaps)
+        gaps *= gaps
+        gaps.sum(axis=1, out=norms[b])
+    return mean, float(p @ norms)
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

@@ -458,6 +458,52 @@ def test_wrong_json_type_is_a_config_error_naming_its_path(tmp_path, capsys, com
     assert not out.exists()
 
 
+BEYOND_INT64 = [
+    (quad_with("local", steps=2**70), "local.steps"),
+    (quad_with("local", batch_size=2**63), "local.batch_size"),
+    (quad_with("sampling", clients_per_round=2**70), "sampling.clients_per_round"),
+    (quad_with("task", dim=2**70), "task.dim"),
+    (quad_with("task", samples_per_client=2**70), "task.samples_per_client"),
+    (logistic_config(num_clients=2**70), "partition.num_clients"),
+    (logistic_config(class_groups=[0, -(2**70)]), "partition.class_groups[1]"),
+]
+
+
+@pytest.mark.parametrize("obj, where", BEYOND_INT64, ids=[where for _, where in BEYOND_INT64])
+def test_integer_beyond_int64_is_a_config_error_naming_its_path(tmp_path, capsys, obj, where):
+    # each used to end in a NumPy ValueError or OverflowError traceback
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: expected an integer in int64 range, got ")
+    assert not out.exists()
+
+
+def test_seed_beyond_int64_still_runs(tmp_path):
+    # seeds are hashed as Python ints, so no int64 bound applies to them
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, quad_config(seed=2**70)), "--out", str(out)]) == EXIT_OK
+    assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", id="5000-digit-integer"),
+        pytest.param(b'{"seed": 1, "note": "\xff"}', id="not-utf8"),
+    ],
+)
+def test_unreadable_document_is_a_config_error_naming_its_file(tmp_path, capsys, blob):
+    # json raises a plain ValueError past Python's 4300-digit int limit, and
+    # reading bytes that are not UTF-8 raises UnicodeDecodeError
+    path = tmp_path / "config.json"
+    path.write_bytes(blob)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
 NON_FINITE = [
     ("local.gamma", "NaN"),
     ("local.gamma", "Infinity"),

@@ -1,7 +1,9 @@
 """The stacked federation: lockstep inner loops and the eval passes give the
 per-client definitions' bits exactly."""
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from fedagm import (
     run_local,
     stochastic_gradient,
 )
-from fedagm.tasks import client_evaluation, weighted_dissimilarity
+from fedagm import tasks as tasks_module
+from fedagm.tasks import client_evaluation, row_blocks, weighted_dissimilarity
+from fedagm.theory import _minibatch_noise
 
 KINDS = ("quadratic", "logistic", "mlp")
 
@@ -308,3 +312,100 @@ class TestRowLayout:
         assert sorted(seen) == list(range(len(sizes)))
         assert group_sizes == sorted(set(sizes))
         assert fed.size_groups is fed.size_groups
+
+
+@contextlib.contextmanager
+def block_budget(nbytes):
+    """Run the body with `tasks.BLOCK_BYTES` set to nbytes."""
+    saved = tasks_module.BLOCK_BYTES
+    tasks_module.BLOCK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        tasks_module.BLOCK_BYTES = saved
+
+
+class TestRowBlocks:
+    def test_blocks_tile_the_rows_within_the_budget(self):
+        with block_budget(3 * 8 * 10 + 7):
+            blocks = row_blocks(7, 10)
+        assert [b for b, _ in blocks] == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert [s.shape for _, s in blocks] == [(3, 10), (3, 10), (1, 10)]
+        assert all(np.shares_memory(s, blocks[0][1]) for _, s in blocks)
+        with block_budget(8):
+            assert [b for b, _ in row_blocks(2, 10)] == [slice(0, 1), slice(1, 2)]
+        assert row_blocks(0, 10) == []
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        variant=st.sampled_from(["sgd", "prox", "scaffold"]),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        slots=st.lists(st.integers(0, 5), min_size=1, max_size=7),
+        batch=st.integers(1, 6),
+        draws=st.integers(1, 11),
+        per_block=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_move_no_bit(self, kind, variant, sizes, slots, batch, draws, per_block, seed):
+        # Blocks of one, two or three rows, the last one ragged, against one
+        # block over every array: unequal shards, clients drawn more than
+        # once, per-client quadratic weight decay, recorded trajectories.
+        tasks, datasets = federation(kind, sizes, seed, width=3, classes=3, hidden=4)
+        fed = StackedFederation.build(tasks, datasets)
+        clients = [s % len(sizes) for s in slots]
+        gen = np.random.default_rng(seed)
+        x = 0.3 * gen.normal(size=fed.dim)
+        server_cv = 0.1 * gen.normal(size=fed.dim)
+        client_cvs = 0.1 * gen.normal(size=(len(clients), fed.dim))
+        p = gen.dirichlet(np.ones(len(sizes)))
+        cfg = LocalConfig(K=3, gamma=0.05, batch_size=batch, variant=variant, prox_mu=0.3)
+        lanes = RngStream(seed).derive_lanes(np.arange(len(clients)), np.array(clients))
+
+        def sweeps():
+            results = run_clients(
+                fed, clients, x, cfg, lanes, server_cv=server_cv, client_cvs=client_cvs, record=True
+            )
+            losses, grads = client_evaluation(fed, x)
+            loss_only = client_evaluation(fed, x, gradients=False)[0]
+            noise = _minibatch_noise(fed, x, grads, batch, RngStream(seed, 3), draws)
+            return results, losses, loss_only, grads, weighted_dissimilarity(grads, p), noise
+
+        with block_budget(per_block * 8 * fed.dim):
+            assert len(row_blocks(len(clients), fed.dim)) == math.ceil(len(clients) / per_block)
+            blocked = sweeps()
+        with block_budget(2**62):
+            assert len(row_blocks(len(clients), fed.dim)) == 1
+            whole = sweeps()
+
+        for a, b in zip(blocked[0], whole[0]):
+            assert_same_result(a, b.x_final, b.new_control_variate, b.trajectory)
+        for a, b in zip(blocked[1:4], whole[1:4]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(blocked[4][0], whole[4][0])
+        assert blocked[4][1] == whole[4][1]
+        np.testing.assert_array_equal(blocked[5], whole[5])
+
+    def test_wide_stack_allocates_a_few_blocks_beyond_its_outputs(self):
+        # d = 35594, as in the wide MLP benchmark; two shard sizes
+        # interleaved, so neither size group holds consecutive ids
+        sizes = [10, 11] * 12
+        tasks, datasets = federation("mlp", sizes, 0, width=128, classes=10, hidden=256)
+        fed = StackedFederation.build(tasks, datasets)
+        assert fed.dim == 35594
+        x = 0.05 * np.random.default_rng(0).normal(size=fed.dim)
+        p = np.full(len(sizes), 1.0 / len(sizes))
+        budget = 2 * tasks_module.BLOCK_BYTES
+
+        tracemalloc.start()
+        try:
+            losses, grads = client_evaluation(fed, x)
+            evaluation_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mean, _ = weighted_dissimilarity(grads, p)
+            dissimilarity_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert evaluation_peak - grads.nbytes - losses.nbytes <= budget
+        assert dissimilarity_peak - mean.nbytes <= budget
