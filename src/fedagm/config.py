@@ -152,7 +152,9 @@ def load_json_file(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8, an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer of over 4300 digits, nesting
+        # deeper than the interpreter's recursion limit
         raise ConfigError(f"{path}: {exc}") from exc
 
 

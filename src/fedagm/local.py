@@ -237,7 +237,6 @@ def run_clients(
         ci = clients[slots]
         x = np.repeat(x_start[None], len(slots), axis=0)
         direction = np.empty_like(x)
-        decay = fed.decay_column(ci)
         if cfg.variant == "scaffold":
             group_cvs = client_cvs[slots]
         # After the kernel writes the data gradient, each row block of x and
@@ -246,15 +245,17 @@ def run_clients(
         # the update, each op in place and in the order that gives
         # x - gamma * direction its bits. The views are taken once a group,
         # so a one-block model pays no per-step cost for the blocking.
+        blocks = row_blocks(len(slots), d)
+        scratch = np.empty((blocks[0].stop, d))
         sweeps = [
             (
                 x[b],
                 direction[b],
-                scratch,
-                None if decay is None else decay[b],
+                scratch[: b.stop - b.start],
+                fed.decay_factor(ci[b]),
                 group_cvs[b] if cfg.variant == "scaffold" else None,
             )
-            for b, scratch in row_blocks(len(slots), d)
+            for b in blocks
         ]
         trajectory = [x.copy()] if record else []
         if not full:

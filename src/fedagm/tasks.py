@@ -335,16 +335,12 @@ def evaluate(task: Task, data: Dataset, x: ParamVector) -> tuple[float, float]:
 BLOCK_BYTES = 512 * 1024
 
 
-def row_blocks(rows: int, d: int) -> list[tuple[slice, np.ndarray]]:
+def row_blocks(rows: int, d: int) -> list[slice]:
     """Slices of consecutive rows covering `rows` rows of d float64s, each
-    within BLOCK_BYTES but never less than one row, and each paired with a
-    scratch array of its shape; the scratch arrays share one buffer."""
+    within BLOCK_BYTES but never less than one row; the first is the
+    largest, so a scratch array of its size serves every block."""
     step = max(1, BLOCK_BYTES // (8 * d))
-    buffer = np.empty((min(step, rows), d))
-    return [
-        (slice(lo, min(lo + step, rows)), buffer[: min(step, rows - lo)])
-        for lo in range(0, rows, step)
-    ]
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +445,16 @@ class StackedFederation:
             groups.append((ci, feats, self.labels[rows].reshape(shape)))
         return groups
 
-    def decay_column(self, clients) -> np.ndarray | None:
-        """Weight decay of each of `clients` as an (S, 1) column, or None when
-        every client's decay is 0 and the term is left out."""
-        return None if self.shared_decay == 0.0 else self.weight_decay[clients, None]
+    def decay_factor(self, clients) -> float | np.ndarray | None:
+        """What the gradients of `clients` add times x: the weight decay the
+        clients share, or each one's as an (S, 1) column when they differ;
+        None when every client's is 0 and the term is left out. (A float
+        keeps the product a scalar multiply, which NumPy takes about three
+        times faster than one by a column.)"""
+        decay = self.shared_decay
+        if decay is None:
+            return self.weight_decay[clients, None]
+        return decay if decay != 0.0 else None
 
     def data_gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
         """(S, d) mean gradients without weight decay, written into out if given.
@@ -486,11 +488,13 @@ class StackedFederation:
         block at a time."""
         clients = np.asarray(clients, dtype=np.int64)
         out = self.data_gradients(clients, x, rows, out)
-        decay = self.decay_column(clients)
-        if decay is not None:
-            for b, scratch in row_blocks(len(out), self.dim):
+        if self.decay_factor(clients) is not None:
+            blocks = row_blocks(len(out), self.dim)
+            scratch = np.empty((blocks[0].stop, self.dim))
+            for b in blocks:
                 block = out[b]
-                block += np.multiply(x[b], decay[b], out=scratch)
+                decay = self.decay_factor(clients[b])
+                block += np.multiply(x[b], decay, out=scratch[: len(block)])
         return out
 
 
@@ -512,13 +516,13 @@ def client_evaluation(
     kernel = _logistic_grad if isinstance(fed.task, LogisticRegressionTask) else _mlp_grad
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
-    decay = fed.decay_column(slice(None)) if gradients else None
     for ci, feats, labels in fed.size_groups:
-        for b, scratch in row_blocks(ci.size, x.size):
+        for b in row_blocks(ci.size, x.size):
             ids, f, y = ci[b], feats[b], labels[b]
             xs = np.broadcast_to(x, (ids.size, x.size))
-            view = int(ids[-1]) - int(ids[0]) == ids.size - 1
-            at = slice(int(ids[0]), int(ids[-1]) + 1) if view else ids
+            lo, hi = int(ids[0]), int(ids[-1]) + 1
+            view = hi - lo == ids.size
+            at = slice(lo, hi) if view else ids
             if gradients:
                 g = grads[at] if view else np.empty(xs.shape)
             if fed.curvature is not None:
@@ -538,8 +542,10 @@ def client_evaluation(
                 kernel(fed.task, f, y, xs, g, block_losses)
                 losses[at] = block_losses
             if gradients:
+                decay = fed.decay_factor(ids)
                 if decay is not None:
-                    g += np.multiply(xs, decay[at], out=scratch)
+                    # a shared decay multiplies one row, not the block
+                    g += decay * x
                 if not view:
                     grads[at] = g
     return losses, grads
@@ -550,8 +556,10 @@ def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray
     stack of client gradients; the gaps are formed one row block at a time."""
     mean = p @ grads
     norms = np.empty(len(grads))
-    for b, gaps in row_blocks(len(grads), grads.shape[1]):
-        np.subtract(grads[b], mean, out=gaps)
+    blocks = row_blocks(len(grads), grads.shape[1])
+    scratch = np.empty((blocks[0].stop, grads.shape[1]))
+    for b in blocks:
+        gaps = np.subtract(grads[b], mean, out=scratch[: b.stop - b.start])
         gaps *= gaps
         gaps.sum(axis=1, out=norms[b])
     return mean, float(p @ norms)

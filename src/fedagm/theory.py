@@ -427,7 +427,7 @@ def _minibatch_noise(
                 np.full(hi - lo, i), xs[: hi - lo], client_rows[lo:hi], chunk[: hi - lo]
             )
             # in place, (g - exact_i) ** 2 per draw; row sums give np.sum's bits
-            for b, _ in row_blocks(hi - lo, x.size):
+            for b in row_blocks(hi - lo, x.size):
                 block = grads[b]
                 block -= exact[i]
                 block *= block

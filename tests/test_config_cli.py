@@ -491,11 +491,13 @@ def test_seed_beyond_int64_still_runs(tmp_path):
     [
         pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", id="5000-digit-integer"),
         pytest.param(b'{"seed": 1, "note": "\xff"}', id="not-utf8"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="deeply-nested"),
     ],
 )
 def test_unreadable_document_is_a_config_error_naming_its_file(tmp_path, capsys, blob):
-    # json raises a plain ValueError past Python's 4300-digit int limit, and
-    # reading bytes that are not UTF-8 raises UnicodeDecodeError
+    # json raises a plain ValueError past Python's 4300-digit int limit and
+    # RecursionError past the recursion limit, and reading bytes that are
+    # not UTF-8 raises UnicodeDecodeError
     path = tmp_path / "config.json"
     path.write_bytes(blob)
     out = tmp_path / "out"

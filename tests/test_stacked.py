@@ -328,12 +328,9 @@ def block_budget(nbytes):
 class TestRowBlocks:
     def test_blocks_tile_the_rows_within_the_budget(self):
         with block_budget(3 * 8 * 10 + 7):
-            blocks = row_blocks(7, 10)
-        assert [b for b, _ in blocks] == [slice(0, 3), slice(3, 6), slice(6, 7)]
-        assert [s.shape for _, s in blocks] == [(3, 10), (3, 10), (1, 10)]
-        assert all(np.shares_memory(s, blocks[0][1]) for _, s in blocks)
+            assert row_blocks(7, 10) == [slice(0, 3), slice(3, 6), slice(6, 7)]
         with block_budget(8):
-            assert [b for b, _ in row_blocks(2, 10)] == [slice(0, 1), slice(1, 2)]
+            assert row_blocks(2, 10) == [slice(0, 1), slice(1, 2)]
         assert row_blocks(0, 10) == []
 
     @given(
