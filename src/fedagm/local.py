@@ -246,12 +246,12 @@ def run_clients(
         # x - gamma * direction its bits. The views are taken once a group,
         # so a one-block model pays no per-step cost for the blocking.
         blocks = row_blocks(len(slots), d)
-        scratch = np.empty((blocks[0].stop, d))
+        buffer = np.empty((blocks[0].stop, d))
         sweeps = [
             (
                 x[b],
                 direction[b],
-                scratch[: b.stop - b.start],
+                buffer[: b.stop - b.start],
                 fed.decay_factor(ci[b]),
                 group_cvs[b] if cfg.variant == "scaffold" else None,
             )
