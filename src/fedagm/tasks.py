@@ -159,11 +159,54 @@ def _check_dim(task: Task, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """Sum of the class rows of z (C, R): the bits of `np.sum(axis=-1)` over
+    the C-contiguous transpose (R, C).
+
+    NumPy's add.reduce along a contiguous axis adds below 8 terms one at a
+    time; up to 128 it keeps eight running sums, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the tail one at a
+    time; above 128 it splits at half the length rounded down to a multiple
+    of 8 and sums the halves so. Here each step is one array op over rows.
+    """
+    n = len(z)
+    if n < 8:
+        total = z[0].copy()
+        for row in z[1:]:
+            total += row
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(z[:half]) + _class_sum(z[half:])
+    body = n - n % 8
+    r = z[:8]
+    for lo in range(8, body, 8):
+        r = r + z[lo : lo + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for row in z[body:]:
+        total += row
+    return total
+
+
+def _shifted_class_major(logits: np.ndarray, labels: np.ndarray):
+    """The logits (..., C), less each row's max, copied class-major into
+    z (C, R) with R rows; the flat indices of the labels (...) in z, and
+    their shifted logits."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    z = rows.T.copy()
+    z -= z.max(axis=0)
+    at = labels.reshape(-1) * len(rows)
+    at += np.arange(len(rows))
+    return z, at, z.reshape(-1)[at]
+
+
 def _label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Log-softmax probability of each row's label, for logits (..., C) and labels (...)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    total = np.exp(shifted).sum(axis=-1)
-    return np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0] - np.log(total)
+    z, _, picked = _shifted_class_major(logits, labels)
+    np.exp(z, out=z)
+    return (picked - np.log(_class_sum(z))).reshape(labels.shape)
 
 
 def _mean_losses(sample: np.ndarray) -> np.ndarray:
@@ -173,34 +216,43 @@ def _mean_losses(sample: np.ndarray) -> np.ndarray:
 
 
 def _softmax_residual(logits: np.ndarray, labels: np.ndarray, losses=None) -> np.ndarray:
-    """softmax(logits) minus the one-hot labels, for logits (S, B, C) and
-    labels (S, B), computed in place of the logits.
+    """softmax(logits) minus the one-hot labels, for C-contiguous logits
+    (S, B, C) and labels (S, B), written back over the logits.
 
-    With `losses` (S,), each slot's mean cross-entropy is written there,
-    from the same shifted logits: the bits of `_label_log_probs`.
+    The softmax runs class-major (`_shifted_class_major`), so each step is
+    an op over C rows of S * B entries, not a reduction over a C-wide axis;
+    every entry gets the same operations as a row-major softmax, and
+    `_class_sum` adds in np.sum's order. With `losses` (S,), each slot's
+    mean cross-entropy is written there, from the same shifted logits: the
+    bits of `_label_log_probs`.
     """
-    logits -= logits.max(axis=-1, keepdims=True)
-    if losses is not None:
-        picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
-    np.exp(logits, out=logits)
-    total = logits.sum(axis=-1, keepdims=True)
+    z, at, picked = _shifted_class_major(logits, labels)
+    np.exp(z, out=z)
+    total = _class_sum(z)
     if losses is not None:
         # negating before the sum is exact: rounding is symmetric in sign
-        losses[...] = _mean_losses(-(picked - np.log(total[..., 0])))
-    logits /= total
-    logits -= labels[..., None] == np.arange(logits.shape[-1])
+        losses[...] = _mean_losses(-(picked - np.log(total)).reshape(labels.shape))
+    z /= total
+    z.reshape(-1)[at] -= 1.0
+    # the backward's products take the residual row-major, as BLAS rounds a
+    # transposed operand differently
+    logits.reshape(z.T.shape)[...] = z.T
     return logits
 
 
 # Stacked kernels: slot s of x (S, d) over its rows feats[s] (B, p) with
 # labels[s] (B,). Every product runs per slot in one batched matmul, which
-# gives each slot the bits of the same product taken alone. The inner loop
-# (`StackedFederation.gradients`, over gathered rows), `full_gradient` and
-# the evaluation pass (`client_evaluation`, over views of the size-ordered
-# rows) all run through them; `evaluate` keeps its own forward pass as the
-# reference the tests compare against. The mean gradients, without weight
-# decay, are written into out (S, d); with `losses` (S,), the slots' mean
-# losses from the same forward pass go there.
+# gives each slot the bits of the same product taken alone. The softmax
+# between the forward and backward products runs class-major over all S * B
+# rows at once (`_softmax_residual`), and hands the backward its residual
+# back as a C-contiguous (S, B, C) array: a transposed view would change
+# how BLAS packs the operand, and with it the gradients' last bits. The
+# inner loop (`StackedFederation.gradients`, over gathered rows),
+# `full_gradient` and the evaluation pass (`client_evaluation`, over views
+# of the size-ordered rows) all run through them; `evaluate` keeps its own
+# forward pass as the reference the tests compare against. The mean
+# gradients, without weight decay, are written into out (S, d); with
+# `losses` (S,), the slots' mean losses from the same forward pass go there.
 
 
 def _quadratic_grad(curvature, target, x, out=None):
@@ -445,6 +497,25 @@ class StackedFederation:
             groups.append((ci, feats, self.labels[rows].reshape(shape)))
         return groups
 
+    @cached_property
+    def eval_blocks(self) -> list[tuple]:
+        """`client_evaluation`'s plan: each of `size_groups` cut into row
+        blocks of clients (`row_blocks` of d-wide rows, under the
+        `BLOCK_BYTES` in force when first used). Per block: the client ids,
+        views of their features (S, n, p) and labels (S, n), where the
+        block's rows go in the (N, ...) outputs (a slice for consecutive
+        ids, else the ids) and, when the clients' weight decays differ,
+        their (S, 1) column (else None)."""
+        plan = []
+        for ci, feats, labels in self.size_groups:
+            for b in row_blocks(ci.size, self.dim):
+                ids = ci[b]
+                lo, hi = int(ids[0]), int(ids[-1]) + 1
+                at = slice(lo, hi) if hi - lo == ids.size else ids
+                column = self.weight_decay[ids, None] if self.shared_decay is None else None
+                plan.append((ids, feats[b], labels[b], at, column))
+        return plan
+
     def decay_factor(self, clients) -> float | np.ndarray | None:
         """What the gradients of `clients` add times x: the weight decay the
         clients share, or each one's as an (S, 1) column when they differ;
@@ -505,8 +576,7 @@ def client_evaluation(
     entry i equals evaluate(task_i, data_i, x)[0] and row i
     full_gradient(task_i, data_i, x), bit for bit.
 
-    One pass over the shard-size groups, each a view of the stacked rows,
-    taken a row block of clients at a time (`row_blocks` of d-wide rows)
+    One pass over `fed.eval_blocks`, the size groups' row blocks of clients,
     through the stacked kernels; a data task takes a block's losses and
     gradients from one forward pass, and its weight decay is added while
     the block is in cache. A block of consecutive ids writes straight into
@@ -516,38 +586,36 @@ def client_evaluation(
     kernel = _logistic_grad if isinstance(fed.task, LogisticRegressionTask) else _mlp_grad
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
-    for ci, feats, labels in fed.size_groups:
-        for b in row_blocks(ci.size, x.size):
-            ids, f, y = ci[b], feats[b], labels[b]
-            xs = np.broadcast_to(x, (ids.size, x.size))
-            lo, hi = int(ids[0]), int(ids[-1]) + 1
-            view = hi - lo == ids.size
-            at = slice(lo, hi) if view else ids
+    # a shared decay multiplies x once, not once per block
+    shared = fed.shared_decay * x if gradients and fed.shared_decay else None
+    for ids, f, y, at, column in fed.eval_blocks:
+        xs = np.broadcast_to(x, (ids.size, x.size))
+        view = isinstance(at, slice)
+        if gradients:
+            g = grads[at] if view else np.empty(xs.shape)
+        if fed.curvature is not None:
+            curvature = fed.curvature[at, :, None]
+            dx = x - f
+            dz = f - fed.center[at, None]
+            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
+            losses[at] = _mean_losses(sample)
             if gradients:
-                g = grads[at] if view else np.empty(xs.shape)
-            if fed.curvature is not None:
-                curvature = fed.curvature[at, :, None]
-                dx = x - f
-                dz = f - fed.center[at, None]
-                sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
-                losses[at] = _mean_losses(sample)
-                if gradients:
-                    _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
-            elif not gradients:
-                # negating before the sum is exact: rounding is symmetric in sign
-                sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
-                losses[at] = _mean_losses(sample)
-            else:
-                block_losses = np.empty(ids.size)
-                kernel(fed.task, f, y, xs, g, block_losses)
-                losses[at] = block_losses
-            if gradients:
-                decay = fed.decay_factor(ids)
-                if decay is not None:
-                    # a shared decay multiplies one row, not the block
-                    g += decay * x
-                if not view:
-                    grads[at] = g
+                _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
+        elif not gradients:
+            # negating before the sum is exact: rounding is symmetric in sign
+            sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
+            losses[at] = _mean_losses(sample)
+        else:
+            block_losses = np.empty(ids.size)
+            kernel(fed.task, f, y, xs, g, block_losses)
+            losses[at] = block_losses
+        if gradients:
+            if shared is not None:
+                g += shared
+            elif column is not None:
+                g += column * x
+            if not view:
+                grads[at] = g
     return losses, grads
 
 

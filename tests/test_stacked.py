@@ -360,6 +360,8 @@ class TestRowBlocks:
         lanes = RngStream(seed).derive_lanes(np.arange(len(clients)), np.array(clients))
 
         def sweeps():
+            # a federation of its own, so its evaluation plan is cut under this budget
+            fed = StackedFederation.build(tasks, datasets)
             results = run_clients(
                 fed, clients, x, cfg, lanes, server_cv=server_cv, client_cvs=client_cvs, record=True
             )
