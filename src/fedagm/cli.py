@@ -67,8 +67,10 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
         "rounds_completed": len(result.metrics),
     }
     if result.diverged:
-        # The final iterate has blown up; constants probed there are not estimates.
+        # The run has blown up; constants probed at its final iterate are not estimates.
         report["notes"] = f"run diverged at round {result.divergence_round}; no constants estimated"
+        if result.overflowed is not None:
+            report["overflowed"] = result.overflowed
         return report
     try:
         x0 = initial_point(cfg)
@@ -112,6 +114,10 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
     return report
 
 
+def _overflow_note(result: ExperimentResult) -> str:
+    return "" if result.overflowed is None else f"; server {result.overflowed} overflowed"
+
+
 def cmd_run(args) -> int:
     obj = load_json_file(args.config)
     if args.seed is not None and isinstance(obj, dict):
@@ -126,7 +132,8 @@ def cmd_run(args) -> int:
     if result.diverged:
         print(
             f"diverged at round {result.divergence_round}; "
-            f"last logged round is {result.metrics[-1].t if result.metrics else 'none'}",
+            f"last logged round is {result.metrics[-1].t if result.metrics else 'none'}"
+            f"{_overflow_note(result)}",
             file=sys.stderr,
         )
         return EXIT_DIVERGED
@@ -155,7 +162,7 @@ def cmd_compare(args) -> int:
                         write_metrics(manifest.out, result.metrics, stem=f"{stem}_seed{seed}")
                         by_method[label].append(result.metrics[-1].test_acc)
                         continue
-                    why = f"diverged at round {result.divergence_round}"
+                    why = f"diverged at round {result.divergence_round}{_overflow_note(result)}"
             failures[label] += 1
             print(f"cell {label} seed {seed}: FAILED ({why})", file=sys.stderr)
 

@@ -159,11 +159,13 @@ def load_json_file(path: str):
 
 
 def _wrap(path: str, builder, *args, **kwargs):
-    """Run a dataclass constructor, re-labelling its errors with the JSON path."""
+    """Run a dataclass constructor, re-labelling its errors with the JSON path
+    (of the key, when the error names one)."""
     try:
         return builder(*args, **kwargs)
     except FedAgmError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        key = getattr(exc, "key", None)
+        raise ConfigError(f"{path if key is None else f'{path}.{key}'}: {exc}") from exc
 
 
 def parse_calibration(section: dict, path: str) -> Calibration:

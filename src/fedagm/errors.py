@@ -14,7 +14,12 @@ class NumericError(FedAgmError, ArithmeticError):
 
 
 class ParameterError(FedAgmError, ValueError):
-    """Hyperparameter outside its admissible range."""
+    """Hyperparameter outside its admissible range; `key` names the field at
+    fault when the message alone does not."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigError(FedAgmError, ValueError):

@@ -29,6 +29,7 @@ from .server import (
     ServerState,
     aggregate,
     init_server_state,
+    overflowed_array,
     recover_baseline,
     server_step,
 )
@@ -227,6 +228,8 @@ class ExperimentResult:
 
     `control_variates` is the final (N, d) table of SCAFFOLD client
     variates (row i is client i's); it is None unless the run is scaffold.
+    `overflowed` names the server array ("x", "m" or "v") whose non-finite
+    entries ended a diverged run; it is None when the loss cap did.
     """
 
     metrics: list[RoundMetrics]
@@ -237,6 +240,7 @@ class ExperimentResult:
     iterates: list | None = None
     drift: np.ndarray | None = None
     control_variates: np.ndarray | None = None
+    overflowed: str | None = None
 
     @property
     def grad_norm_history(self) -> np.ndarray:
@@ -267,11 +271,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     come from one `client_evaluation` pass over the clients, which the
     round's `sample_round` call follows.
 
-    A server step that leaves the iterate non-finite in round t marks the
-    run diverged at round t + 1, and a training loss above
+    A server step that leaves the iterate x, or its momentum m or v,
+    non-finite in round t marks the run diverged at round t + 1 and names
+    that array, and a training loss above
     `DIVERGENCE_LOSS_CAP` in round t marks it diverged at round t; either
     aborts the loop, and the log then ends at the last logged round. The
-    iterate is checked every round. The loss is computed, and so the cap
+    server state is checked every round. The loss is computed, and so the cap
     checked, only on evaluated rounds (every `eval_every`-th and the last),
     or on every round when a plateau schedule is in use, so a run can take
     up to `eval_every - 1` more rounds after its loss passed the cap.
@@ -301,6 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     drift = np.zeros((T, cfg.local.K + 1)) if cfg.record_drift else None
     diverged = False
     divergence_round = None
+    overflowed = None
 
     for t in range(T):
         t_start = time.perf_counter()
@@ -376,7 +382,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     wall_ms=wall,
                 )
             )
-        if not np.all(np.isfinite(state.x)):
+        overflowed = overflowed_array(state)
+        if overflowed is not None:
             diverged, divergence_round = True, t + 1
             break
 
@@ -391,4 +398,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         iterates=iterates,
         drift=drift,
         control_variates=cv_table,
+        overflowed=overflowed,
     )

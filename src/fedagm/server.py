@@ -20,6 +20,21 @@ KINDS = ("avg", "momentum", "adam", "amsgrad", "yogi")
 CALIBRATION_SCHEMES = ("epsilon", "power", "softplus", "identity")
 
 
+def calibrate(v: ParamVector, cal: Calibration) -> ParamVector:
+    """Per-coordinate denominator of the adaptive stepsize; always > 0."""
+    v = np.asarray(v, dtype=np.float64)
+    if np.any(v < 0):
+        raise NumericError("calibrate needs v >= 0 in every coordinate")
+    if cal.scheme == "epsilon":
+        return np.sqrt(v) + cal.eps
+    if cal.scheme == "power":
+        return (v + cal.eps) ** cal.p
+    if cal.scheme == "softplus":
+        z = cal.beta * np.sqrt(v)
+        return (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) / cal.beta
+    return np.ones_like(v)
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Monotone transform of the second momentum that floors the denominator.
@@ -44,6 +59,16 @@ class Calibration:
             raise ParameterError("power exponent must lie in (0, 1/2]")
         if self.scheme == "softplus" and not 0 < self.beta < np.inf:
             raise ParameterError("softplus beta must be finite and > 0")
+        # the stepsize band's top, 1/calibrate(0), is set by eps (beta for softplus)
+        with np.errstate(over="ignore", divide="ignore"):
+            top = 1.0 / calibrate(np.zeros(1), self)[0]
+        if not np.isfinite(top):
+            key = "beta" if self.scheme == "softplus" else "eps"
+            raise ParameterError(
+                f"{key} = {getattr(self, key)!r} makes the largest stepsize 1/calibrate(0) "
+                f"infinite; it must be finite",
+                key=key,
+            )
 
 
 IDENTITY = Calibration("identity")
@@ -85,6 +110,18 @@ class ServerState:
     t: int = 0
 
 
+def overflowed_array(state: ServerState) -> str | None:
+    """The name of the first of x, m and v with a non-finite entry, or None.
+
+    A v that overflows to inf stalls the server rather than blowing x up:
+    1/calibrate(inf) is 0, so x stops moving while every log row repeats.
+    """
+    for name in ("x", "m", "v"):
+        if not np.isfinite(getattr(state, name)).all():
+            return name
+    return None
+
+
 def init_server_state(x0: ParamVector) -> ServerState:
     x0 = np.asarray(x0, dtype=np.float64)
     zeros = np.zeros_like(x0)
@@ -106,21 +143,6 @@ def aggregate(x_t: ParamVector, client_finals: list[ParamVector]) -> tuple[Param
         raise StructuralError("client finals do not match the model dimension")
     x_tilde = stacked.mean(axis=0)
     return x_tilde, x_t - x_tilde
-
-
-def calibrate(v: ParamVector, cal: Calibration) -> ParamVector:
-    """Per-coordinate denominator of the adaptive stepsize; always > 0."""
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v < 0):
-        raise NumericError("calibrate needs v >= 0 in every coordinate")
-    if cal.scheme == "epsilon":
-        return np.sqrt(v) + cal.eps
-    if cal.scheme == "power":
-        return (v + cal.eps) ** cal.p
-    if cal.scheme == "softplus":
-        z = cal.beta * np.sqrt(v)
-        return (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) / cal.beta
-    return np.ones_like(v)
 
 
 def _second_momentum(state: ServerState, delta_sq: np.ndarray, opt: ServerOptimizer):

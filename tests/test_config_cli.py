@@ -392,6 +392,41 @@ class TestRunCommand:
         assert "constants" not in report and "notes" in report
 
     @quiet_overflow
+    def test_frozen_server_exits_as_diverged_naming_the_array(self, tmp_path, capsys):
+        # v overflows to inf and x stops moving; this run used to exit 0 with
+        # "diverged": false and repeat its first loss every round
+        obj = quad_config(
+            rounds=5,
+            task={
+                "kind": "logistic",
+                "weight_decay": 0.0,
+                "dataset": {"source": "blobs", "n": 200, "num_classes": 4, "num_features": 3},
+            },
+            partition={"scheme": "sort", "num_clients": 6, "classes_per_client": 2},
+            local={"steps": 3, "gamma": 1e300, "batch_size": 5},
+            server={"name": "FedAdam", "eta": 0.05},
+        )
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_DIVERGED
+        assert "diverged at round 1; last logged round is 0; server v overflowed" in capsys.readouterr().err
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["diverged"] is True and report["divergence_round"] == 1
+        assert report["overflowed"] == "v"
+        assert "constants" not in report
+        assert len(read_rows(out / "metrics.csv")) == 1
+
+    def test_infinite_largest_stepsize_is_a_config_error_naming_its_key(self, tmp_path, capsys):
+        for key, calibration in (
+            ("eps", {"scheme": "epsilon", "eps": 1e-320}),
+            ("beta", {"scheme": "softplus", "beta": 1.7e308}),
+        ):
+            obj = quad_config(server={"name": "FedAdam", "eta": 0.1, "calibration": calibration})
+            out = tmp_path / key
+            assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: server.calibration.{key}: ")
+            assert not out.exists()
+
+    @quiet_overflow
     def test_overflowing_bound_analysis_becomes_a_note(self, tmp_path):
         # Clients whose anchors all sit at 0 have zero gradients at x0 = 0,
         # so the run stays finite while (K gamma)^2 overflows a float.

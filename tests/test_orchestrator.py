@@ -542,7 +542,44 @@ class TestDivergence:
         result = run_experiment(cfg)
         assert not np.all(np.isfinite(result.final_x))
         assert result.diverged and result.divergence_round == 1
+        assert result.overflowed == "x"
         assert [row.t for row in result.metrics] == [0]
+
+    @quiet_overflow
+    @pytest.mark.parametrize("server", ["FedAdam", "FedAMSGrad", "FedYogi", "s-FedAdam"])
+    def test_overflowed_second_momentum_is_diverged(self, server):
+        # delta * delta overflows, v becomes inf and 1/calibrate(inf) = 0, so
+        # x stays finite but never moves again: every later round repeated
+        # the first one's loss, and the run used to end as not diverged
+        obj = {
+            "seed": 0,
+            "rounds": 5,
+            "task": {
+                "kind": "logistic",
+                "weight_decay": 0.0,
+                "dataset": {"source": "blobs", "n": 200, "num_classes": 4, "num_features": 3},
+            },
+            "partition": {"scheme": "sort", "num_clients": 6, "classes_per_client": 2},
+            "local": {"steps": 3, "gamma": 1e300, "batch_size": 5},
+            "sampling": {"clients_per_round": 3},
+            "server": {"name": server, "eta": 0.05},
+        }
+        result = run_experiment(parse_config(obj))
+        assert np.all(np.isfinite(result.final_x))
+        assert result.diverged and result.divergence_round == 1
+        assert result.overflowed == "v"
+        assert [row.t for row in result.metrics] == [0]
+
+    def test_loss_cap_names_no_array(self):
+        cfg = config(
+            quadratic_problem(),
+            local=LocalConfig(K=5, gamma=50.0, batch_size=6),
+            server=named_optimizer("FedAvg", eta=1.0),
+            sampling=SamplingSpec(S=3),
+            rounds=200,
+        )
+        result = run_experiment(cfg)
+        assert result.diverged and result.overflowed is None
 
     @quiet_overflow
     @pytest.mark.parametrize("every, stop, logged", [(1, 3, [0, 1, 2]), (2000, 29, [0])])

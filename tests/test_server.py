@@ -315,3 +315,22 @@ class TestOptimizerValidation:
             Calibration("softplus", beta=0.0)
         with pytest.raises(ParameterError):
             Calibration("smoothstep")
+
+    @pytest.mark.parametrize(
+        "scheme, key, value",
+        [("epsilon", "eps", 1e-320), ("epsilon", "eps", 5e-324), ("softplus", "beta", 1.7e308)],
+    )
+    def test_largest_stepsize_must_be_finite(self, scheme, key, value):
+        # 1/calibrate(0) overflowed: mu_pair reported mu_upper = inf, which
+        # bound_report.json wrote as a bare Infinity
+        with pytest.raises(ParameterError) as info:
+            Calibration(scheme, **{key: value})
+        assert info.value.key == key
+
+    def test_small_floors_with_a_finite_largest_stepsize_are_accepted(self):
+        for cal in (
+            Calibration("epsilon", eps=1e-308),
+            Calibration("power", eps=1e-320, p=0.5),
+            Calibration("softplus", beta=1e308),
+        ):
+            assert np.isfinite(1.0 / calibrate(np.zeros(1), cal)[0])
