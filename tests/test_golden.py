@@ -244,6 +244,13 @@ GOLDEN = {
 FILES = ("metrics.csv", "metrics.jsonl", "model.bin", "bound_report.json")
 
 
+def blas_build() -> str:
+    """The BLAS NumPy was built against: OpenBLAS picks its kernels by CPU,
+    and how it sees an operand's layout can move bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -288,7 +295,7 @@ def test_outputs_match_their_golden_digests(name, tmp_path):
     moved = sorted(key for key, value in found.items() if GOLDEN[name].get(key) != value)
     assert not moved, (
         f"{name}: {moved} moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
-        f"this run used NumPy {np.__version__}; new digests: {found}"
+        f"this run used NumPy {np.__version__} with BLAS {blas_build()}; new digests: {found}"
     )
 
 
@@ -297,7 +304,7 @@ def test_grid_outputs_match_their_golden_digests(name, tmp_path):
     found = grid_digests(name, tmp_path)
     assert found == GOLDEN[name], (
         f"{name}: the files or digests moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
-        f"this run used NumPy {np.__version__}; new digests: {found}"
+        f"this run used NumPy {np.__version__} with BLAS {blas_build()}; new digests: {found}"
     )
 
 
