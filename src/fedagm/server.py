@@ -9,6 +9,7 @@ start at zero and are used without bias correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,9 @@ class Calibration:
             raise ParameterError("power exponent must lie in (0, 1/2]")
         if self.scheme == "softplus" and not 0 < self.beta < np.inf:
             raise ParameterError("softplus beta must be finite and > 0")
-        # the stepsize band's top, 1/calibrate(0), is set by eps (beta for softplus)
-        with np.errstate(over="ignore", divide="ignore"):
-            top = 1.0 / calibrate(np.zeros(1), self)[0]
-        if not np.isfinite(top):
+        # the stepsize band's top, 1/calibrate(0), is set by eps (beta for
+        # softplus); calibrate is > 0, and a float quotient overflows to inf
+        if not math.isfinite(1.0 / float(calibrate(np.zeros(1), self)[0])):
             key = "beta" if self.scheme == "softplus" else "eps"
             raise ParameterError(
                 f"{key} = {getattr(self, key)!r} makes the largest stepsize 1/calibrate(0) "
@@ -199,21 +199,24 @@ def recover_baseline(opt: ServerOptimizer) -> str:
     return "eps-" + base
 
 
+# Calibrations are frozen, so the table is built once, not on every call.
+_NAMED = {
+    "FedAvg": dict(kind="avg"),
+    "FedMomentum": dict(kind="momentum", beta1=0.9),
+    "FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-8)),
+    "eps-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-2)),
+    "p-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("power", eps=1e-8, p=0.25)),
+    "s-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("softplus", beta=50.0)),
+    "FedAMSGrad": dict(kind="amsgrad", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-8)),
+    "s-FedAMSGrad": dict(kind="amsgrad", beta1=0.9, beta2=0.99, calibration=Calibration("softplus", beta=50.0)),
+    "FedYogi": dict(kind="yogi", beta1=0.0, beta2=0.99, calibration=Calibration("epsilon", eps=1e-3)),
+}
+
+
 def named_optimizer(name: str, eta: float, **overrides) -> ServerOptimizer:
     """Construct the usual baselines by name; a convenience for grids."""
-    table = {
-        "FedAvg": dict(kind="avg"),
-        "FedMomentum": dict(kind="momentum", beta1=0.9),
-        "FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-8)),
-        "eps-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-2)),
-        "p-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("power", eps=1e-8, p=0.25)),
-        "s-FedAdam": dict(kind="adam", beta1=0.9, beta2=0.99, calibration=Calibration("softplus", beta=50.0)),
-        "FedAMSGrad": dict(kind="amsgrad", beta1=0.9, beta2=0.99, calibration=Calibration("epsilon", eps=1e-8)),
-        "s-FedAMSGrad": dict(kind="amsgrad", beta1=0.9, beta2=0.99, calibration=Calibration("softplus", beta=50.0)),
-        "FedYogi": dict(kind="yogi", beta1=0.0, beta2=0.99, calibration=Calibration("epsilon", eps=1e-3)),
-    }
-    if name not in table:
-        raise ParameterError(f"unknown optimizer name {name!r}; known: {sorted(table)}")
-    params = dict(table[name])
+    if name not in _NAMED:
+        raise ParameterError(f"unknown optimizer name {name!r}; known: {sorted(_NAMED)}")
+    params = dict(_NAMED[name])
     params.update(overrides)
     return ServerOptimizer(eta=eta, **params)
