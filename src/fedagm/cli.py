@@ -20,6 +20,7 @@ changes what a command computes or writes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -105,10 +106,14 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
             }
         )
         history = result.grad_norm_history
-        if history.size >= 20 and np.all(np.isfinite(history)):
-            report["rate_envelope"] = asdict(rate_envelope(history))
-        else:
+        envelope = rate_envelope(history) if history.size >= 20 else None
+        if envelope is None:
             report["rate_envelope"] = {"notes": "fewer than 20 recorded rounds; skipped"}
+        elif not math.isfinite(envelope.empirical):
+            # a non-finite history or an overflowing running average
+            report["rate_envelope"] = {"notes": "running average not finite; skipped"}
+        else:
+            report["rate_envelope"] = asdict(envelope)
     except (FedAgmError, OverflowError) as exc:
         report["notes"] = f"bound analysis unavailable: {exc}"
     return report

@@ -260,9 +260,8 @@ def run_clients(
         trajectory = [x.copy()] if record else []
         if not full:
             draws = draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
-            rows = fed.starts[ci, None, None] + draws
         for k in range(steps):
-            fed.data_gradients(ci, x, None if full else rows[:, k], out=direction)
+            fed.data_gradients(ci, x, None if full else draws[:, k], out=direction)
             for xb, db, scratch, decay_b, cvs_b in sweeps:
                 if decay_b is not None:
                     db += np.multiply(xb, decay_b, out=scratch)

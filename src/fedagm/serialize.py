@@ -114,4 +114,6 @@ def load_model(path: str) -> np.ndarray:
 
 
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises ValueError rather than being
+    written as the bare `NaN` or `Infinity` that RFC 8259 does not allow."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -185,9 +185,8 @@ def recover_baseline(opt: ServerOptimizer) -> str:
     """Canonical method name for reporting; parameters decide, not labels."""
     if opt.calibration.scheme == "identity":
         return "FedAvg" if opt.beta1 == 0.0 else "FedMomentum"
-    base = {"adam": "FedAdam", "amsgrad": "FedAMSGrad", "yogi": "FedYogi"}.get(opt.kind)
-    if base is None:
-        return "FedAvg" if opt.beta1 == 0.0 else "FedMomentum"
+    # avg and momentum take only the identity calibration, so kind is adaptive here
+    base = {"adam": "FedAdam", "amsgrad": "FedAMSGrad", "yogi": "FedYogi"}[opt.kind]
     if opt.calibration.scheme == "power":
         return "p-" + base
     if opt.calibration.scheme == "softplus":

@@ -247,11 +247,12 @@ def _softmax_residual(logits: np.ndarray, labels: np.ndarray, losses=None) -> np
 # rows at once (`_softmax_residual`), and hands the backward its residual
 # back as a C-contiguous (S, B, C) array: a transposed view would change
 # how BLAS packs the operand, and with it the gradients' last bits. The
-# inner loop (`StackedFederation.gradients`, over gathered rows),
-# `full_gradient` and the evaluation pass (`client_evaluation`, over views
-# of the size-ordered rows) all run through them; `evaluate` keeps its own
-# forward pass as the reference the tests compare against. The mean
-# gradients, without weight decay, are written into out (S, d); with
+# inner loop and the noise probe (`StackedFederation.data_gradients`, over
+# gathered rows), `full_gradient` and the evaluation pass
+# (`client_evaluation`, over views of the size-ordered rows) all run
+# through them, each taking a task's kernel from `_kernel`; `evaluate`
+# keeps its own forward pass as the reference the tests compare against.
+# The mean gradients, without weight decay, are written into out (S, d); with
 # `losses` (S,), the slots' mean losses from the same forward pass go there.
 
 
@@ -307,6 +308,11 @@ def _mlp_grad(task: MlpTask, feats, labels, x, out, losses=None):
     return out
 
 
+def _kernel(task: LogisticRegressionTask | MlpTask):
+    """The stacked gradient kernel of a data task."""
+    return _logistic_grad if isinstance(task, LogisticRegressionTask) else _mlp_grad
+
+
 def _quadratic_sample_losses(task: QuadraticTask, feats, x):
     dx = x - feats
     dz = feats - task.center
@@ -318,8 +324,7 @@ def _data_grad(task: Task, feats, labels, x):
     case of the stacked kernels."""
     if isinstance(task, QuadraticTask):
         return _quadratic_grad(task.curvature, feats.mean(axis=0), x)
-    kernel = _logistic_grad if isinstance(task, LogisticRegressionTask) else _mlp_grad
-    return kernel(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
+    return _kernel(task)(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
 
 
 def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVector:
@@ -435,9 +440,12 @@ class StackedFederation:
 
     Client i owns rows `starts[i]:starts[i] + sizes[i]` of `features` and
     `labels`. The clients of one shard size own one block of rows in id
-    order, so each size group is a view of it (`size_groups`). Data-driven
-    kinds share `task`; quadratics carry per-client `curvature` and
-    `center` of shape (N, d). `weight_decay` is per client.
+    order, so each size group is a view of it (`eval_blocks`). The layout
+    stays inside this module: `data_gradients` takes row indices within
+    each client's own shard. Data-driven kinds share `task`; quadratics
+    carry per-client `curvature` and `center` of shape (N, d).
+    `weight_decay` is per client; `data_gradients` leaves it out, and the
+    callers add it in their own row-block sweeps.
     """
 
     task: Task
@@ -484,30 +492,23 @@ class StackedFederation:
         return float(first) if np.all(self.weight_decay == first) else None
 
     @cached_property
-    def size_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per shard size n, ascending: the ids of the clients with n rows in
-        ascending order, and views of their features (S, n, p) and labels
-        (S, n)."""
+    def eval_blocks(self) -> list[tuple]:
+        """`client_evaluation`'s plan: the clients grouped by shard size,
+        ascending, each group cut into row blocks of clients (`row_blocks`
+        of d-wide rows, under the `BLOCK_BYTES` in force when first used).
+        Per block: the client ids ascending, views of their features
+        (S, n, p) and labels (S, n), where the block's rows go in the
+        (N, ...) outputs (a slice for consecutive ids, else the ids) and,
+        when the clients' weight decays differ, their (S, 1) column (else
+        None)."""
         order = np.argsort(self.sizes, kind="stable")
-        groups = []
+        plan = []
         for ci in np.split(order, np.flatnonzero(np.diff(self.sizes[order])) + 1):
+            # a size group's clients own one block of rows in id order
             shape, lo = (ci.size, int(self.sizes[ci[0]])), int(self.starts[ci[0]])
             rows = slice(lo, lo + ci.size * shape[1])
             feats = self.features[rows].reshape(*shape, -1)
-            groups.append((ci, feats, self.labels[rows].reshape(shape)))
-        return groups
-
-    @cached_property
-    def eval_blocks(self) -> list[tuple]:
-        """`client_evaluation`'s plan: each of `size_groups` cut into row
-        blocks of clients (`row_blocks` of d-wide rows, under the
-        `BLOCK_BYTES` in force when first used). Per block: the client ids,
-        views of their features (S, n, p) and labels (S, n), where the
-        block's rows go in the (N, ...) outputs (a slice for consecutive
-        ids, else the ids) and, when the clients' weight decays differ,
-        their (S, 1) column (else None)."""
-        plan = []
-        for ci, feats, labels in self.size_groups:
+            labels = self.labels[rows].reshape(shape)
             for b in row_blocks(ci.size, self.dim):
                 ids = ci[b]
                 lo, hi = int(ids[0]), int(ids[-1]) + 1
@@ -527,45 +528,30 @@ class StackedFederation:
             return self.weight_decay[clients, None]
         return decay if decay != 0.0 else None
 
-    def data_gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
+    def data_gradients(self, clients, x, draws=None, out=None) -> np.ndarray:
         """(S, d) mean gradients without weight decay, written into out if given.
 
-        Row s is client `clients[s]`'s mean gradient at `x[s]` over the
-        global rows `rows[s]`; with rows None, over all of its data (a data
-        task's clients must then share one shard size; quadratics are
-        analytic).
+        Row s is client `clients[s]`'s mean gradient at `x[s]` over the rows
+        `draws[s]` of its own shard (indices in [0, n_i)); with draws None,
+        over all of its data (a data task's clients must then share one
+        shard size; quadratics are analytic).
         """
         clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
-        if rows is None and self.curvature is None:
+        if draws is None and self.curvature is not None:
+            return _quadratic_grad(self.curvature[clients], self.center[clients], x, out=out)
+        if draws is None:
             sizes = self.sizes[clients]
             if np.any(sizes != sizes[0]):
                 raise StructuralError("full-data gradients need clients of one shard size")
-            rows = self.starts[clients, None] + np.arange(sizes[0])
-        elif rows is not None:
-            # a gather keeps the index array's memory order, and the products
-            # over column-major rows can round differently from row-major ones
-            rows = np.ascontiguousarray(rows)
+            draws = np.arange(sizes[0])
+        # a gather keeps the index array's memory order, and the products
+        # over column-major rows can round differently from row-major ones
+        rows = np.add(self.starts[clients, None], draws, order="C")
         if self.curvature is not None:
-            target = self.center[clients] if rows is None else self.features[rows].mean(axis=1)
-            _quadratic_grad(self.curvature[clients], target, x, out=out)
+            _quadratic_grad(self.curvature[clients], self.features[rows].mean(axis=1), x, out=out)
         else:
-            kernel = _logistic_grad if isinstance(self.task, LogisticRegressionTask) else _mlp_grad
-            kernel(self.task, self.features[rows], self.labels[rows], x, out)
-        return out
-
-    def gradients(self, clients, x, rows=None, out=None) -> np.ndarray:
-        """`data_gradients` with each client's weight decay added, a row
-        block at a time."""
-        clients = np.asarray(clients, dtype=np.int64)
-        out = self.data_gradients(clients, x, rows, out)
-        if self.decay_factor(clients) is not None:
-            blocks = row_blocks(len(out), self.dim)
-            scratch = np.empty((blocks[0].stop, self.dim))
-            for b in blocks:
-                block = out[b]
-                decay = self.decay_factor(clients[b])
-                block += np.multiply(x[b], decay, out=scratch[: len(block)])
+            _kernel(self.task)(self.task, self.features[rows], self.labels[rows], x, out)
         return out
 
 
@@ -583,7 +569,6 @@ def client_evaluation(
     the outputs, any other goes through a block-sized buffer.
     """
     x = _check_dim(fed.task, x)
-    kernel = _logistic_grad if isinstance(fed.task, LogisticRegressionTask) else _mlp_grad
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
     # a shared decay multiplies x once, not once per block
@@ -607,7 +592,7 @@ def client_evaluation(
             losses[at] = _mean_losses(sample)
         else:
             block_losses = np.empty(ids.size)
-            kernel(fed.task, f, y, xs, g, block_losses)
+            _kernel(fed.task)(fed.task, f, y, xs, g, block_losses)
             losses[at] = block_losses
         if gradients:
             if shared is not None:

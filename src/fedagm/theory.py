@@ -56,10 +56,11 @@ class ProblemConstants:
         self.p = np.asarray(self.p, dtype=np.float64)
         if not (self.sigma_i.shape == self.G_i.shape == self.p.shape):
             raise StructuralError("sigma_i, G_i, p must have one entry per client")
-        if min(self.L, self.sigma_g, self.gamma, self.eta) < 0:
-            raise ParameterError("constants must be nonnegative")
-        if np.any(self.sigma_i < 0) or np.any(self.G_i < 0):
-            raise ParameterError("per-client constants must be nonnegative")
+        # a probe that overflows must not reach a report as a bound
+        if not all(0 <= v < math.inf for v in (self.L, self.sigma_g, self.gamma, self.eta)):
+            raise ParameterError("constants must be finite and nonnegative")
+        if not all(np.all((0 <= a) & (a < math.inf)) for a in (self.sigma_i, self.G_i)):
+            raise ParameterError("per-client constants must be finite and nonnegative")
         check_weights(self.p)
         if self.K < 1 or self.S < 1:
             raise ParameterError("K and S must be >= 1")
@@ -113,8 +114,8 @@ def mu_pair(cal: Calibration, V: float) -> MuPair:
     1/calibrate(V) and 1/calibrate(0), taken from the very arithmetic that
     steps the server.
     """
-    if V < 0:
-        raise ParameterError("V must be >= 0")
+    if not 0 <= V < math.inf:
+        raise ParameterError(f"V must be finite and >= 0, got {V}")
     lower, upper = 1.0 / calibrate(np.array([V, 0.0]), cal)
     return MuPair(float(lower), float(upper))
 
@@ -269,7 +270,7 @@ def verify_lemma_second_moment(
 def drift_rhs(c: ProblemConstants, grad_norm_sq: float, gamma: float | None = None) -> float:
     """Ceiling on the weighted client drift at round t given ||grad f(x_t)||^2."""
     g = c.gamma if gamma is None else gamma
-    sig2 = float(np.dot(c.p, c.sigma_i**2))
+    sig2 = _noise_moments(c)[0]
     return 5.0 * c.K * g**2 * (sig2 + 2.0 * c.K * c.sigma_g**2) + 10.0 * (
         c.K * g
     ) ** 2 * grad_norm_sq
@@ -339,12 +340,11 @@ def rate_envelope(history: np.ndarray) -> BoundReport:
     c0 = float(np.dot(running, shape) / np.dot(shape, shape))
     residual = float(np.sqrt(np.mean((running - c0 * shape) ** 2)))
     half, full = running[history.size // 2 - 1], running[-1]
-    decreased = bool(full < half) or (full == 0.0 and half == 0.0)
     return BoundReport(
         quantity="rate_envelope",
         empirical=full,
         bound=half,
-        satisfied=decreased,
+        satisfied=bool(full < half or (full == 0.0 and half == 0.0)),
         notes=f"least-squares c0/sqrt(T) fit: c0 = {c0:.6g}, rms residual = {residual:.6g}",
     )
 
@@ -408,27 +408,30 @@ def _minibatch_noise(
     `gen = rng.derive(i).generator()`, one stream per client as in the inner
     loop, all drawn at once by `draw_minibatches`. A client with no more than
     batch_size rows would take its full gradient, so its noise is 0 and costs
-    no gradient call. Each kernel call stacks _NOISE_CHUNK draws into one
-    reused buffer, and the distances are swept over it a row block at a time
-    (`row_blocks`), so a wide model's chunk is not streamed through memory
-    once per op.
+    no gradient call. Each `data_gradients` call stacks _NOISE_CHUNK draws
+    into one reused buffer, and the distances are swept over it a row block
+    at a time (`row_blocks`), so a wide model's chunk is not streamed through
+    memory once per op; the sweep adds the client's weight decay, as the
+    inner loop's does.
     """
     sampled = np.flatnonzero(fed.sizes > batch_size)
     picks = draw_minibatches(rng.derive_lanes(sampled), fed.sizes[sampled], batch_size, draws)
-    rows = fed.starts[sampled, None, None] + picks
     xs = np.broadcast_to(x, (_NOISE_CHUNK, x.size))
     chunk = np.empty(xs.shape)
     noise = np.empty(draws)
     sigma_sq = np.zeros(fed.N)
-    for i, client_rows in zip(sampled, rows):
+    for i, client_picks in zip(sampled, picks):
+        decay = fed.weight_decay[i] * x if fed.weight_decay[i] != 0.0 else None
         for lo in range(0, draws, _NOISE_CHUNK):
             hi = min(lo + _NOISE_CHUNK, draws)
-            grads = fed.gradients(
-                np.full(hi - lo, i), xs[: hi - lo], client_rows[lo:hi], chunk[: hi - lo]
+            grads = fed.data_gradients(
+                np.full(hi - lo, i), xs[: hi - lo], client_picks[lo:hi], chunk[: hi - lo]
             )
-            # in place, (g - exact_i) ** 2 per draw; row sums give np.sum's bits
+            # in place, (g + decay - exact_i) ** 2 per draw; row sums give np.sum's bits
             for b in row_blocks(hi - lo, x.size):
                 block = grads[b]
+                if decay is not None:
+                    block += decay
                 block -= exact[i]
                 block *= block
                 block.sum(axis=1, out=noise[lo:hi][b])

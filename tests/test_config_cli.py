@@ -441,6 +441,35 @@ class TestRunCommand:
         assert report["notes"].startswith("bound analysis unavailable")
         assert "constants" not in report
 
+    def test_a_rate_envelope_that_did_not_fall_is_reported(self, tmp_path):
+        # the running average of ||grad f||^2 ends above its midpoint value
+        obj = quad_config(rounds=40, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(num_clients=4, dim=2, heterogeneity=0.0)
+        obj["sampling"]["clients_per_round"] = 2
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["rate_envelope"]["satisfied"] is False
+
+    @quiet_overflow
+    def test_bound_report_is_strict_json(self, tmp_path):
+        # (K gamma)^2 underflows to 0 while 24 G^2 overflows, so V is NaN
+        obj = quad_config(rounds=200, seed=1, server={"name": "FedAvg", "eta": 1.0})
+        obj["task"].update(
+            num_clients=2, dim=1, heterogeneity=3e-143, curvature_range=[1e296, 1e296],
+            samples_per_client=4, anchor_noise=0.0,
+        )
+        obj["local"] = {"steps": 1, "gamma": 1e-300, "batch_size": 4}
+        obj["sampling"]["clients_per_round"] = 2
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} in bound_report.json")
+
+        report = json.loads((out / "bound_report.json").read_text(), parse_constant=reject)
+        assert report["notes"].startswith("bound analysis unavailable: V must be finite")
+
 
 def logistic_config(**partition):
     return quad_config(
@@ -607,6 +636,14 @@ def test_no_module_reads_the_environment():
     for path in sorted(pathlib.Path(fedagm.__file__).parent.glob("*.py")):
         text = path.read_text()
         assert "os.environ" not in text and "getenv" not in text, path.name
+
+
+def test_only_tasks_reads_the_stacked_row_layout():
+    # callers hand `data_gradients` rows of each client's own shard; where a
+    # client's rows sit in the stacked arrays is known to `tasks` alone
+    for path in sorted(pathlib.Path(fedagm.__file__).parent.glob("*.py")):
+        if path.name != "tasks.py":
+            assert ".starts" not in path.read_text(), path.name
 
 
 class TestCompareCommand:

@@ -256,7 +256,7 @@ class TestStackedEval:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_gradients_without_rows_need_one_shard_size(self, kind):
-        # rows=None takes each slot's full data: one (S, n) block of rows,
+        # draws=None takes each slot's full data: one (S, n) block of rows,
         # so a data task's clients must share n; quadratics are analytic
         tasks, datasets = federation(kind, (5, 3, 5), 4)
         fed = StackedFederation.build(tasks, datasets)
@@ -267,11 +267,33 @@ class TestStackedEval:
         else:
             cases = (same,)
             with pytest.raises(StructuralError, match="one shard size"):
-                fed.gradients(mixed, x)
+                fed.data_gradients(mixed, x)
         for clients in cases:
-            grads = fed.gradients(clients, x)
+            grads = fed.data_gradients(clients, x) + fed.decay_factor(clients) * x
             for s, c in enumerate(clients):
                 np.testing.assert_array_equal(grads[s], full_gradient(tasks[c], datasets[c], x[s]))
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5, unique=True),
+        slots=st.lists(st.integers(0, 4), min_size=2, max_size=6),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draws_index_each_clients_own_shard(self, kind, sizes, slots, batch, seed):
+        # unequal shards and a client drawn twice: row s takes the draws of
+        # slot s as rows of its client's dataset, not of the stacked rows
+        clients = [s % len(sizes) for s in slots] + [slots[0] % len(sizes)]
+        tasks, datasets = federation(kind, sizes, seed, width=3, classes=3, hidden=4)
+        fed = StackedFederation.build(tasks, datasets)
+        gen = np.random.default_rng(seed)
+        xs = 0.3 * gen.normal(size=(len(clients), fed.dim))
+        draws = np.stack([gen.integers(0, sizes[c], batch) for c in clients])
+        grads = fed.data_gradients(clients, xs, draws)
+        for s, c in enumerate(clients):
+            f, y = datasets[c].features[draws[s]], datasets[c].labels[draws[s]]
+            np.testing.assert_array_equal(grads[s], tasks_module._data_grad(tasks[c], f, y, xs[s]))
 
     def test_view_is_built_once_per_problem(self):
         problem = self.problem("logistic")
@@ -301,17 +323,18 @@ class TestRowLayout:
         np.testing.assert_array_equal(np.sort(covered), np.arange(sum(sizes)))
 
         seen, group_sizes = [], []
-        for ci, feats, labels in fed.size_groups:
+        for ci, feats, labels, _, _ in fed.eval_blocks:
             n = sizes[ci[0]]
             assert all(sizes[c] == n for c in ci) and np.all(np.diff(ci) > 0)
             np.testing.assert_array_equal(feats, np.stack([datasets[c].features for c in ci]))
             np.testing.assert_array_equal(labels, np.stack([datasets[c].labels for c in ci]))
             assert np.shares_memory(feats, fed.features) and np.shares_memory(labels, fed.labels)
             seen += ci.tolist()
-            group_sizes.append(n)
+            if not group_sizes or group_sizes[-1] != n:
+                group_sizes.append(n)
         assert sorted(seen) == list(range(len(sizes)))
         assert group_sizes == sorted(set(sizes))
-        assert fed.size_groups is fed.size_groups
+        assert fed.eval_blocks is fed.eval_blocks
 
 
 @contextlib.contextmanager

@@ -111,6 +111,17 @@ class TestMuPair:
         mu = mu_pair(Calibration("identity"), V=7.0)
         assert (mu.mu_lower, mu.mu_upper) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("V", [-1.0, math.nan, math.inf])
+    def test_rejects_a_ceiling_that_is_negative_or_not_finite(self, V):
+        with pytest.raises(ParameterError, match="finite"):
+            mu_pair(Calibration("identity"), V)
+
+    @pytest.mark.parametrize("field", ["L", "sigma_g", "sigma_i", "G_i"])
+    def test_constants_must_be_finite(self, field):
+        bad = math.inf if field in ("L", "sigma_g") else np.array([math.nan])
+        with pytest.raises(ParameterError, match="finite"):
+            constants(**{field: bad})
+
     def test_ordering_invariant_random(self):
         gen = np.random.default_rng(0)
         cals = [
@@ -347,7 +358,7 @@ class TestRateEnvelope:
     def test_increasing_history_fails(self):
         history = np.linspace(0.1, 5.0, 100)
         report = rate_envelope(history)
-        assert not report.satisfied
+        assert report.satisfied is False
 
     def test_divergence_is_flagged(self):
         history = np.ones(40)
