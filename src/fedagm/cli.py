@@ -10,11 +10,19 @@ fedagm partition-report <config.json>
     from one dataset per seed.
 
 Exit codes: 0 success, 1 bad config, 2 divergence; `main` reports every
-ConfigError as `config error: ...` on stderr. Everything runs on the
-calling thread: `run` steps its sampled clients in lockstep, and `compare`
-runs its cells one after another, seed by seed; it parses each seed's config
-once, and every method runs on that seed's problem. No environment variable
-changes what a command computes or writes.
+ConfigError as `config error: ...` on stderr. `run` steps its sampled
+clients in lockstep, and `compare` runs its cells one after another, seed
+by seed; it parses each seed's config once, and every method runs on that
+seed's problem. Everything runs on the calling thread but the local steps
+of a wide model: a lockstep group whose (slots, d) arrays span more than
+one `tasks.row_blocks` block (a 512 KiB budget; the wide MLPs) is split
+into at most W parts, and W - 1 worker threads step all but the first.
+W is the CPUs this process may run on (`taskset` bounds them) divided by
+the threads of NumPy's OpenBLAS, so the parts take only the cores BLAS
+leaves idle: with `OPENBLAS_NUM_THREADS=1` the other cores go to fedagm,
+and with BLAS on every core W is 1. The split moves no bit, as the parts
+own disjoint rows and the stacked kernels give each slot the bits it gets
+alone. No environment variable changes what a command computes or writes.
 """
 
 from __future__ import annotations

@@ -18,6 +18,14 @@ other slots share its step. Slots whose batch size or step count differ
 (epoch_mode, or clients with fewer rows than the batch size) run as
 separate lockstep groups. `run_local` is the one-slot call.
 
+A group whose (slots, d) arrays span more than one row block
+(`tasks.row_blocks`) is split at block boundaries into at most W parts of
+consecutive slots, each stepped on its own thread (`run_parts`): the
+matmuls and large ufuncs release the GIL. W is the CPUs this process may
+run on divided by the BLAS threads (`worker_count`), so the parts take only
+the cores BLAS leaves idle. The split moves no bit: the parts own disjoint
+rows, and the stacked kernels give each slot the bits it gets alone.
+
 The slots' streams come as one `StreamBatch`, a root stream plus key
 arrays, which costs no hashing until a group draws from it. A group whose
 slots take their full batch reads no stream, so it derives and seeds
@@ -39,7 +47,11 @@ loop owns the SCAFFOLD state.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,6 +198,71 @@ def draw_minibatches(streams: StreamBatch, sizes, batch: int, steps: int) -> np.
     return draws
 
 
+# ---------------------------------------------------------------------------
+# Parts of a wide group on the cores BLAS leaves idle
+
+
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS NumPy loaded, read through ctypes
+    from the copy its wheel ships in `numpy.libs`; None if it cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        count = get()
+        return count if count >= 1 else None
+    return None
+
+
+@functools.cache
+def worker_count() -> int:
+    """W, the most parts a lockstep group is split into: the CPUs this
+    process may run on divided by the BLAS threads, so the parts take only
+    the cores BLAS leaves idle; 1 if the BLAS count cannot be read."""
+    blas = blas_threads()
+    return max(1, len(os.sched_getaffinity(0)) // blas) if blas else 1
+
+
+@functools.cache
+def _pool(threads: int):
+    # imported on the first split: concurrent.futures loads logging, which
+    # would add 0.7 MB to the peak RSS of every run that never splits
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="fedagm-part")
+
+
+def run_parts(step, blocks: list[slice]) -> None:
+    """Call step(part) on every part of `blocks`, cut into at most W runs of
+    consecutive row blocks: the caller takes the first part and pool threads
+    the others, at the same time. A group of one block makes one part and
+    starts no thread.
+
+    The parts touch disjoint rows, and the stacked kernels give each slot
+    the bits it gets alone, so the split moves no bit. The pool's threads
+    start on the first split; idle, they are joined when the interpreter
+    exits.
+    """
+    n = min(worker_count(), len(blocks)) if len(blocks) > 1 else 1
+    if n == 1:
+        step(blocks)
+        return
+    bounds = [len(blocks) * i // n for i in range(n + 1)]
+    parts = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool(n - 1).submit(step, part) for part in parts[1:]]
+    try:
+        step(parts[0])
+    finally:
+        # no error leaves while a part still writes the group's arrays
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
+
+
 def run_clients(
     fed: StackedFederation,
     clients,
@@ -205,8 +282,10 @@ def run_clients(
     costs no stream. Each step takes the group's data gradients in one
     kernel call, then updates x a row block of slots at a time
     (`tasks.row_blocks`), so a wide model's (S, d) arrays meet each op in
-    cache and the only scratch is one block. With record=True each result
-    keeps its iterate trajectory [x_0 .. x_K].
+    cache and the only scratch is one block. A group of several blocks runs
+    as parts of consecutive blocks on up to W threads (`run_parts`), each
+    part a kernel call per step over its own rows. With record=True each
+    result keeps its iterate trajectory [x_0 .. x_K].
     The scaffold variant needs the server variate; `client_cvs` holds one
     client variate per slot and defaults to zeros.
     """
@@ -235,47 +314,57 @@ def run_clients(
     results: list[LocalResult | None] = [None] * S
     for (batch, steps, full), slots in groups.items():
         ci = clients[slots]
+        # The group's arrays and draws are made once, and each part steps
+        # contiguous row views of them: every operand a kernel is handed
+        # keeps the C layout it has when the group runs whole.
         x = np.repeat(x_start[None], len(slots), axis=0)
         direction = np.empty_like(x)
-        if cfg.variant == "scaffold":
-            group_cvs = client_cvs[slots]
-        # After the kernel writes the data gradient, each row block of x and
-        # direction takes the rest of the step while it is in cache: the
-        # weight decay, the prox or SCAFFOLD correction, the stepsize and
-        # the update, each op in place and in the order that gives
-        # x - gamma * direction its bits. The views are taken once a group,
-        # so a one-block model pays no per-step cost for the blocking.
-        blocks = row_blocks(len(slots), d)
-        buffer = np.empty((blocks[0].stop, d))
-        sweeps = [
-            (
-                x[b],
-                direction[b],
-                buffer[: b.stop - b.start],
-                fed.decay_factor(ci[b]),
-                group_cvs[b] if cfg.variant == "scaffold" else None,
-            )
-            for b in blocks
-        ]
-        trajectory = [x.copy()] if record else []
-        if not full:
-            draws = draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
-        for k in range(steps):
-            fed.data_gradients(ci, x, None if full else draws[:, k], out=direction)
-            for xb, db, scratch, decay_b, cvs_b in sweeps:
-                if decay_b is not None:
-                    db += np.multiply(xb, decay_b, out=scratch)
-                if cfg.variant == "prox":
-                    np.subtract(xb, x_start, out=scratch)
-                    scratch *= cfg.prox_mu
-                    db += scratch
-                elif cfg.variant == "scaffold":
-                    db -= cvs_b
-                    db += server_cv
-                db *= cfg.gamma
-                xb -= db
-            if record:
-                trajectory.append(x.copy())
+        group_cvs = client_cvs[slots] if cfg.variant == "scaffold" else None
+        draws = None if full else draw_minibatches(rngs.take(slots), fed.sizes[ci], batch, steps)
+        trajectory = np.empty((steps + 1, *x.shape)) if record else None
+        if record:
+            trajectory[0] = x
+
+        def step_part(blocks: list[slice]) -> None:
+            # After the kernel writes the data gradient, each row block of x
+            # and direction takes the rest of the step while it is in cache:
+            # the weight decay, the prox or SCAFFOLD correction, the stepsize
+            # and the update, each op in place and in the order that gives
+            # x - gamma * direction its bits. The views are taken once a
+            # part, so a one-block model pays no per-step cost for the
+            # blocking.
+            rows = slice(blocks[0].start, blocks[-1].stop)
+            ci_p, x_p, direction_p = ci[rows], x[rows], direction[rows]
+            draws_p = None if full else draws[rows]
+            buffer = np.empty((blocks[0].stop - blocks[0].start, d))
+            sweeps = [
+                (
+                    x[b],
+                    direction[b],
+                    buffer[: b.stop - b.start],
+                    fed.decay_factor(ci[b]),
+                    None if group_cvs is None else group_cvs[b],
+                )
+                for b in blocks
+            ]
+            for k in range(steps):
+                fed.data_gradients(ci_p, x_p, None if full else draws_p[:, k], out=direction_p)
+                for xb, db, scratch, decay_b, cvs_b in sweeps:
+                    if decay_b is not None:
+                        db += np.multiply(xb, decay_b, out=scratch)
+                    if cfg.variant == "prox":
+                        np.subtract(xb, x_start, out=scratch)
+                        scratch *= cfg.prox_mu
+                        db += scratch
+                    elif cfg.variant == "scaffold":
+                        db -= cvs_b
+                        db += server_cv
+                    db *= cfg.gamma
+                    xb -= db
+                if record:
+                    trajectory[k + 1, rows] = x_p
+
+        run_parts(step_part, row_blocks(len(slots), d))
 
         new_cv = None
         if cfg.variant == "scaffold":
@@ -285,7 +374,7 @@ def run_clients(
                 x_final=x[j],
                 steps_taken=steps,
                 new_control_variate=None if new_cv is None else new_cv[j],
-                trajectory=[xk[j] for xk in trajectory],
+                trajectory=[] if trajectory is None else list(trajectory[:, j]),
             )
     return results
 

@@ -133,15 +133,24 @@ def aggregate(x_t: ParamVector, client_finals: list[ParamVector]) -> tuple[Param
 
     Returns (x_tilde, delta) with x_tilde the plain mean over the S entries
     (duplicates included with multiplicity) and delta = x_t - x_tilde. The
-    caller fixes the list order; the mean is computed over the stacked array
-    so the summation order is reproducible.
+    caller fixes the list order, which pins the summation: the bits are
+    those of `mean(axis=0)` over the stacked finals. For d > 1 that mean
+    adds the rows one by one, so the finals go into one accumulator in
+    order, without the (S, d) copy; a one-coordinate stack is summed
+    pairwise, as a 1-D array is.
     """
     if not client_finals:
         raise StructuralError("aggregate needs at least one client final")
-    stacked = np.stack([np.asarray(x, dtype=np.float64) for x in client_finals])
-    if stacked.shape[1:] != np.shape(x_t):
+    shape = np.shape(x_t)
+    if any(np.shape(x) != shape for x in client_finals):
         raise StructuralError("client finals do not match the model dimension")
-    x_tilde = stacked.mean(axis=0)
+    if shape in ((), (1,)):
+        x_tilde = np.asarray(client_finals, dtype=np.float64).mean(axis=0)
+    else:
+        x_tilde = np.array(client_finals[0], dtype=np.float64)
+        for x in client_finals[1:]:
+            x_tilde += x
+        x_tilde /= len(client_finals)
     return x_tilde, x_t - x_tilde
 
 

@@ -57,6 +57,8 @@ from fedagm import (
     verify_drift_bound,
     verify_lemma_second_moment,
 )
+from fedagm import local as local_module
+from fedagm import tasks as tasks_module
 from fedagm.cli import EXIT_OK, main
 from fedagm.orchestrator import TAG_LOCAL
 from fedagm.theory import ProblemConstants
@@ -510,9 +512,14 @@ def test_12_metric_files_are_bit_identical_for_any_thread_count(tmp_path, monkey
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(obj))
 
+    # Run a takes today's defaults. Runs b-d force W, the worker count of a
+    # lockstep group's split, to 1, 2 and 3, with one d = 4 row per block,
+    # so the 4 slots span 4 blocks.
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "3"), ("d", "8")):
-        monkeypatch.setenv("FEDOPT_THREADS", threads)
+    for tag, workers in (("a", None), ("b", 1), ("c", 2), ("d", 3)):
+        if workers is not None:
+            monkeypatch.setattr(local_module, "worker_count", lambda w=workers: w)
+            monkeypatch.setattr(tasks_module, "BLOCK_BYTES", 8 * 4)
         out = tmp_path / tag
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         outputs.append(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedagm import (
     Calibration,
@@ -83,6 +85,26 @@ class TestAggregate:
             aggregate(np.zeros(2), [])
         with pytest.raises(StructuralError):
             aggregate(np.zeros(2), [np.zeros(3)])
+        with pytest.raises(StructuralError):
+            # a final that would broadcast is still the wrong dimension
+            aggregate(np.zeros(2), [np.zeros(2), np.zeros(1)])
+
+    @given(
+        S=st.integers(1, 40),
+        d=st.sampled_from([1, 2, 3, 8, 170, 3610, 40_000]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_mean_has_the_bits_of_the_stacked_mean(self, S, d, seed):
+        # finals of mixed magnitudes, so that the summation order shows;
+        # one coordinate is summed pairwise, as NumPy sums a 1-D array
+        gen = np.random.default_rng(seed)
+        finals = list(gen.normal(size=(S, d)) * 10.0 ** gen.integers(-8, 8, size=(S, 1)))
+        x_t = gen.normal(size=d)
+        x_tilde, delta = aggregate(x_t, finals)
+        expected = np.stack(finals).mean(axis=0)
+        assert x_tilde.tobytes() == expected.tobytes()
+        assert delta.tobytes() == (x_t - expected).tobytes()
 
 
 class TestCalibrate:

@@ -28,6 +28,7 @@ from fedagm import (
     run_local,
     stochastic_gradient,
 )
+from fedagm import local as local_module
 from fedagm import tasks as tasks_module
 from fedagm.tasks import client_evaluation, row_blocks, weighted_dissimilarity
 from fedagm.theory import _minibatch_noise
@@ -431,3 +432,66 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert evaluation_peak - grads.nbytes - losses.nbytes <= budget
         assert dissimilarity_peak - mean.nbytes <= budget
+
+
+@contextlib.contextmanager
+def forced_workers(n):
+    """Run the body with W, the worker count of `run_clients`' split, set to n."""
+    saved = local_module.worker_count
+    local_module.worker_count = lambda: n
+    try:
+        yield
+    finally:
+        local_module.worker_count = saved
+
+
+class TestWorkerParts:
+    @given(
+        kind=st.sampled_from(KINDS),
+        variant=st.sampled_from(["sgd", "prox", "scaffold"]),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        slots=st.lists(st.integers(0, 5), min_size=1, max_size=7),
+        batch=st.integers(1, 6),
+        epoch_mode=st.booleans(),
+        record=st.booleans(),
+        decay=st.sampled_from([None, 0.0, 0.05]),
+        per_block=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_worker_count_moves_no_bit(
+        self, kind, variant, sizes, slots, batch, epoch_mode, record, decay, per_block, seed
+    ):
+        # W = 1, 2 and 3 over blocks of one or two rows: unequal shards, the
+        # first client drawn twice, shared decay (0 included) or, for
+        # quadratics with decay None, per-client decay
+        tasks, datasets = federation(kind, sizes, seed, decay=decay)
+        fed = StackedFederation.build(tasks, datasets)
+        clients = [s % len(sizes) for s in slots] + [slots[0] % len(sizes)]
+        gen = np.random.default_rng(seed)
+        x = 0.3 * gen.normal(size=fed.dim)
+        server_cv = 0.1 * gen.normal(size=fed.dim)
+        client_cvs = 0.1 * gen.normal(size=(len(clients), fed.dim))
+        cfg = LocalConfig(
+            K=3, gamma=0.05, batch_size=batch, variant=variant, prox_mu=0.3, epoch_mode=epoch_mode
+        )
+        lanes = RngStream(seed).derive_lanes(np.arange(len(clients)), np.array(clients))
+
+        def arrays(results):
+            return [
+                (r.steps_taken, r.x_final.tobytes(), [xk.tobytes() for xk in r.trajectory])
+                + (() if r.new_control_variate is None else (r.new_control_variate.tobytes(),))
+                for r in results
+            ]
+
+        runs = []
+        with block_budget(per_block * 8 * fed.dim):
+            for workers in (1, 2, 3):
+                with forced_workers(workers):
+                    results = run_clients(
+                        fed, clients, x, cfg, lanes, server_cv, client_cvs, record=record
+                    )
+                runs.append(arrays(results))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert all(len(r[2]) == (r[0] + 1 if record else 0) for r in runs[0])
+        assert all((len(r) == 4) == (variant == "scaffold") for r in runs[0])
