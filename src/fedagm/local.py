@@ -311,6 +311,7 @@ def run_clients(
         steps = math.ceil(n / batch) if cfg.epoch_mode else cfg.K
         groups.setdefault((batch, steps, batch == n), []).append(s)
 
+    decay = fed.task.weight_decay
     results: list[LocalResult | None] = [None] * S
     for (batch, steps, full), slots in groups.items():
         ci = clients[slots]
@@ -342,16 +343,15 @@ def run_clients(
                     x[b],
                     direction[b],
                     buffer[: b.stop - b.start],
-                    fed.decay_factor(ci[b]),
                     None if group_cvs is None else group_cvs[b],
                 )
                 for b in blocks
             ]
             for k in range(steps):
                 fed.data_gradients(ci_p, x_p, None if full else draws_p[:, k], out=direction_p)
-                for xb, db, scratch, decay_b, cvs_b in sweeps:
-                    if decay_b is not None:
-                        db += np.multiply(xb, decay_b, out=scratch)
+                for xb, db, scratch, cvs_b in sweeps:
+                    if decay:
+                        db += np.multiply(xb, decay, out=scratch)
                     if cfg.variant == "prox":
                         np.subtract(xb, x_start, out=scratch)
                         scratch *= cfg.prox_mu

@@ -409,7 +409,7 @@ def check_federation(tasks: list[Task], datasets: list[Dataset]) -> None:
 
     All tasks must be of one kind. Data-driven kinds share one task whose
     feature width and label range every dataset fits; quadratics share one
-    dimension, which is also the width of their anchor rows.
+    dimension, which is also the width of their anchor rows, and one decay.
     """
     if not tasks or len(tasks) != len(datasets):
         raise StructuralError("need one dataset per task, at least one client")
@@ -418,8 +418,8 @@ def check_federation(tasks: list[Task], datasets: list[Dataset]) -> None:
         raise StructuralError(f"clients mix task kinds {sorted(kinds)}")
     first = tasks[0]
     if isinstance(first, QuadraticTask):
-        if any(task.dim != first.dim for task in tasks):
-            raise StructuralError("quadratic clients must share one dimension")
+        if any(t.dim != first.dim or t.weight_decay != first.weight_decay for t in tasks):
+            raise StructuralError("quadratic clients must share one dimension and one weight decay")
         width, classes = first.dim, None
     else:
         if any(task != first for task in tasks):
@@ -443,9 +443,9 @@ class StackedFederation:
     order, so each size group is a view of it (`eval_blocks`). The layout
     stays inside this module: `data_gradients` takes row indices within
     each client's own shard. Data-driven kinds share `task`; quadratics
-    carry per-client `curvature` and `center` of shape (N, d).
-    `weight_decay` is per client; `data_gradients` leaves it out, and the
-    callers add it in their own row-block sweeps.
+    carry per-client `curvature` and `center` of shape (N, d). All clients
+    have the weight decay `task.weight_decay`; `data_gradients` leaves it
+    out, and the callers add it in their own row-block sweeps.
     """
 
     task: Task
@@ -453,7 +453,6 @@ class StackedFederation:
     labels: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
-    weight_decay: np.ndarray
     curvature: np.ndarray | None = None
     center: np.ndarray | None = None
 
@@ -471,7 +470,6 @@ class StackedFederation:
             labels=np.concatenate([datasets[i].labels for i in order]),
             sizes=sizes,
             starts=starts,
-            weight_decay=np.array([task.weight_decay for task in tasks], dtype=np.float64),
             curvature=np.stack([t.curvature for t in tasks]) if quadratic else None,
             center=np.stack([t.center for t in tasks]) if quadratic else None,
         )
@@ -485,22 +483,13 @@ class StackedFederation:
         return self.task.dim
 
     @cached_property
-    def shared_decay(self) -> float | None:
-        """The weight decay every client shares (always, for data tasks), or
-        None if the clients' values differ."""
-        first = self.weight_decay[0]
-        return float(first) if np.all(self.weight_decay == first) else None
-
-    @cached_property
     def eval_blocks(self) -> list[tuple]:
         """`client_evaluation`'s plan: the clients grouped by shard size,
         ascending, each group cut into row blocks of clients (`row_blocks`
         of d-wide rows, under the `BLOCK_BYTES` in force when first used).
         Per block: the client ids ascending, views of their features
-        (S, n, p) and labels (S, n), where the block's rows go in the
-        (N, ...) outputs (a slice for consecutive ids, else the ids) and,
-        when the clients' weight decays differ, their (S, 1) column (else
-        None)."""
+        (S, n, p) and labels (S, n), and where the block's rows go in the
+        (N, ...) outputs (a slice for consecutive ids, else the ids)."""
         order = np.argsort(self.sizes, kind="stable")
         plan = []
         for ci in np.split(order, np.flatnonzero(np.diff(self.sizes[order])) + 1):
@@ -513,20 +502,8 @@ class StackedFederation:
                 ids = ci[b]
                 lo, hi = int(ids[0]), int(ids[-1]) + 1
                 at = slice(lo, hi) if hi - lo == ids.size else ids
-                column = self.weight_decay[ids, None] if self.shared_decay is None else None
-                plan.append((ids, feats[b], labels[b], at, column))
+                plan.append((ids, feats[b], labels[b], at))
         return plan
-
-    def decay_factor(self, clients) -> float | np.ndarray | None:
-        """What the gradients of `clients` add times x: the weight decay the
-        clients share, or each one's as an (S, 1) column when they differ;
-        None when every client's is 0 and the term is left out. (A float
-        keeps the product a scalar multiply, which NumPy takes about three
-        times faster than one by a column.)"""
-        decay = self.shared_decay
-        if decay is None:
-            return self.weight_decay[clients, None]
-        return decay if decay != 0.0 else None
 
     def data_gradients(self, clients, x, draws=None, out=None) -> np.ndarray:
         """(S, d) mean gradients without weight decay, written into out if given.
@@ -571,9 +548,9 @@ def client_evaluation(
     x = _check_dim(fed.task, x)
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
-    # a shared decay multiplies x once, not once per block
-    shared = fed.shared_decay * x if gradients and fed.shared_decay else None
-    for ids, f, y, at, column in fed.eval_blocks:
+    # the decay multiplies x once, not once per block
+    decay = fed.task.weight_decay * x if gradients and fed.task.weight_decay else None
+    for ids, f, y, at in fed.eval_blocks:
         xs = np.broadcast_to(x, (ids.size, x.size))
         view = isinstance(at, slice)
         if gradients:
@@ -595,10 +572,8 @@ def client_evaluation(
             _kernel(fed.task)(fed.task, f, y, xs, g, block_losses)
             losses[at] = block_losses
         if gradients:
-            if shared is not None:
-                g += shared
-            elif column is not None:
-                g += column * x
+            if decay is not None:
+                g += decay
             if not view:
                 grads[at] = g
     return losses, grads

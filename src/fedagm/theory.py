@@ -411,7 +411,7 @@ def _minibatch_noise(
     no gradient call. Each `data_gradients` call stacks _NOISE_CHUNK draws
     into one reused buffer, and the distances are swept over it a row block
     at a time (`row_blocks`), so a wide model's chunk is not streamed through
-    memory once per op; the sweep adds the client's weight decay, as the
+    memory once per op; the sweep adds the federation's weight decay, as the
     inner loop's does.
     """
     sampled = np.flatnonzero(fed.sizes > batch_size)
@@ -420,8 +420,8 @@ def _minibatch_noise(
     chunk = np.empty(xs.shape)
     noise = np.empty(draws)
     sigma_sq = np.zeros(fed.N)
+    decay = fed.task.weight_decay * x if fed.task.weight_decay else None
     for i, client_picks in zip(sampled, picks):
-        decay = fed.weight_decay[i] * x if fed.weight_decay[i] != 0.0 else None
         for lo in range(0, draws, _NOISE_CHUNK):
             hi = min(lo + _NOISE_CHUNK, draws)
             grads = fed.data_gradients(

@@ -37,17 +37,14 @@ KINDS = ("quadratic", "logistic", "mlp")
 
 
 def federation(kind, sizes, seed, width=3, classes=3, hidden=4, decay=None):
-    """Per-client tasks and datasets of the given sizes. Quadratic clients
-    draw their own weight decay unless `decay` is given; data tasks share
-    `decay`, 0.01 if None."""
+    """Per-client tasks and datasets of the given sizes. The clients share
+    one weight decay: `decay`, or if None one drawn per federation for
+    quadratics and 0.01 for data tasks."""
     gen = np.random.default_rng(seed)
     if kind == "quadratic":
+        decay = float(gen.uniform(0.0, 0.1)) if decay is None else decay
         tasks = [
-            QuadraticTask(
-                gen.uniform(0.5, 2.0, width),
-                gen.normal(size=width),
-                weight_decay=float(gen.uniform(0.0, 0.1)) if decay is None else decay,
-            )
+            QuadraticTask(gen.uniform(0.5, 2.0, width), gen.normal(size=width), weight_decay=decay)
             for _ in sizes
         ]
         datasets = [
@@ -115,7 +112,7 @@ class TestLockstepEngine:
     ):
         # Unequal shards, some smaller than the batch, and clients drawn
         # more than once: every slot keeps the bits of a lone client. The
-        # clients' weight decay differs, is shared, or is zero.
+        # clients' shared weight decay is drawn, fixed, or zero.
         clients = [s % len(sizes) for s in slots]
         tasks, datasets = federation(kind, sizes, seed, width=width, decay=decay)
         fed = StackedFederation.build(tasks, datasets)
@@ -249,11 +246,14 @@ class TestStackedEval:
         stack = np.stack([full_gradient(t, d, x) for t, d in zip(tasks, datasets)])
         np.testing.assert_array_equal(grads, stack)
 
-    def test_shared_decay_is_read_from_the_clients(self):
-        assert StackedFederation.build(*federation("quadratic", [4, 4], 0)).shared_decay is None
-        same = federation("quadratic", [4, 4], 0, decay=0.3)
-        assert StackedFederation.build(*same).shared_decay == 0.3
-        assert StackedFederation.build(*federation("mlp", [4, 4], 0)).shared_decay == 0.01
+    def test_quadratic_clients_must_share_one_decay(self):
+        # a client's own decay folds into its curvature and center instead
+        tasks, datasets = federation("quadratic", [4, 4], 0, decay=0.3)
+        tasks[1] = QuadraticTask(tasks[1].curvature, tasks[1].center, weight_decay=0.2)
+        with pytest.raises(StructuralError, match="one weight decay"):
+            StackedFederation.build(tasks, datasets)
+        with pytest.raises(StructuralError, match="one weight decay"):
+            FederatedProblem(tasks, [ClientShard(d, 0.5) for d in datasets])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_gradients_without_rows_need_one_shard_size(self, kind):
@@ -270,7 +270,7 @@ class TestStackedEval:
             with pytest.raises(StructuralError, match="one shard size"):
                 fed.data_gradients(mixed, x)
         for clients in cases:
-            grads = fed.data_gradients(clients, x) + fed.decay_factor(clients) * x
+            grads = fed.data_gradients(clients, x) + fed.task.weight_decay * x
             for s, c in enumerate(clients):
                 np.testing.assert_array_equal(grads[s], full_gradient(tasks[c], datasets[c], x[s]))
 
@@ -324,7 +324,7 @@ class TestRowLayout:
         np.testing.assert_array_equal(np.sort(covered), np.arange(sum(sizes)))
 
         seen, group_sizes = [], []
-        for ci, feats, labels, _, _ in fed.eval_blocks:
+        for ci, feats, labels, _ in fed.eval_blocks:
             n = sizes[ci[0]]
             assert all(sizes[c] == n for c in ci) and np.all(np.diff(ci) > 0)
             np.testing.assert_array_equal(feats, np.stack([datasets[c].features for c in ci]))
@@ -371,7 +371,7 @@ class TestRowBlocks:
     def test_row_blocks_move_no_bit(self, kind, variant, sizes, slots, batch, draws, per_block, seed):
         # Blocks of one, two or three rows, the last one ragged, against one
         # block over every array: unequal shards, clients drawn more than
-        # once, per-client quadratic weight decay, recorded trajectories.
+        # once, a drawn quadratic weight decay, recorded trajectories.
         tasks, datasets = federation(kind, sizes, seed, width=3, classes=3, hidden=4)
         fed = StackedFederation.build(tasks, datasets)
         clients = [s % len(sizes) for s in slots]
@@ -463,8 +463,8 @@ class TestWorkerParts:
         self, kind, variant, sizes, slots, batch, epoch_mode, record, decay, per_block, seed
     ):
         # W = 1, 2 and 3 over blocks of one or two rows: unequal shards, the
-        # first client drawn twice, shared decay (0 included) or, for
-        # quadratics with decay None, per-client decay
+        # first client drawn twice, a fixed decay (0 included) or, for
+        # quadratics with decay None, a drawn one
         tasks, datasets = federation(kind, sizes, seed, decay=decay)
         fed = StackedFederation.build(tasks, datasets)
         clients = [s % len(sizes) for s in slots] + [slots[0] % len(sizes)]
