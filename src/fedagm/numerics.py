@@ -241,9 +241,18 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     return rng
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_j b_j over the last axis: a scalar for vectors, one sum per
+    row for (rows, d) stacks (a row's bits can differ from the same row's
+    alone). Every reduction goes through here so that no bit depends on the
+    BLAS thread count: `np.dot` and `@` on vectors call OpenBLAS's `ddot`,
+    which splits a long sum across its threads; einsum calls no BLAS."""
+    return np.einsum("...j,...j->...", a, b)
+
+
 def l2_norm_sq(x: ParamVector) -> float:
     """Squared Euclidean norm."""
-    return float(np.dot(x, x))
+    return float(inner(x, x))
 
 
 def sample_dirichlet(rng: RngStream | np.random.Generator, alpha: float, dim: int) -> np.ndarray:

@@ -172,7 +172,7 @@ class FederatedProblem:
     def gradient_stats(self, x: np.ndarray) -> tuple[float, float]:
         """(||grad f(x)||^2, weighted client-gradient dissimilarity) in one pass."""
         mean, sigma_g = weighted_dissimilarity(client_evaluation(self.stacked, x)[1], self.weights)
-        return float(mean @ mean), sigma_g
+        return l2_norm_sq(mean), sigma_g
 
     def train_loss(self, x: np.ndarray) -> float:
         return weighted_loss(self.weights, client_evaluation(self.stacked, x, gradients=False)[0])
@@ -329,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         test_acc = 0.0
         if want_row:
             mean, sigma_g = weighted_dissimilarity(grads, p)
-            grad_norm_sq = float(mean @ mean)
+            grad_norm_sq = l2_norm_sq(mean)
             # free the (N, d) stack, and its mean, before the clients train
             del grads, mean
             _, test_acc = prob.test_metrics(state.x)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParameterError, StructuralError
-from .numerics import ParamVector, RngStream, as_generator
+from .numerics import ParamVector, RngStream, as_generator, inner
 
 
 @dataclass
@@ -590,7 +590,7 @@ def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray
         gaps = np.subtract(grads[b], mean, out=scratch[: b.stop - b.start])
         gaps *= gaps
         gaps.sum(axis=1, out=norms[b])
-    return mean, float(p @ norms)
+    return mean, float(inner(p, norms))
 
 
 def init_params(task: Task, rng: RngStream | np.random.Generator) -> ParamVector:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .local import draw_minibatches
-from .numerics import RngStream, as_generator
+from .numerics import RngStream, as_generator, inner
 from .sampling import check_weights
 from .server import Calibration, calibrate
 from .tasks import (
@@ -91,8 +91,8 @@ class BoundReport:
 
 
 def _noise_moments(c: ProblemConstants) -> tuple[float, float]:
-    sig2 = float(np.dot(c.p, c.sigma_i**2))
-    g2 = float(np.dot(c.p, c.G_i**2))
+    sig2 = float(inner(c.p, c.sigma_i**2))
+    g2 = float(inner(c.p, c.G_i**2))
     return sig2, g2
 
 
@@ -155,8 +155,8 @@ def _probe(fed: StackedFederation, p: np.ndarray, x_points, noise=None):
     for j, x in enumerate(x_points):
         x = np.asarray(x, dtype=np.float64)
         grads = client_evaluation(fed, x)[1]
-        for i in range(fed.N):  # no row view may outlive the stack
-            G_i[i] = max(G_i[i], math.sqrt(float(np.dot(grads[i], grads[i]))))
+        # fmax, as max() did, keeps the last G_i where a norm is NaN
+        np.fmax(G_i, np.sqrt(inner(grads, grads)), out=G_i)
         mean, dissimilarity = weighted_dissimilarity(grads, p)
         sigma_g_sq = max(sigma_g_sq, dissimilarity)
         if j == 0:
@@ -203,7 +203,7 @@ def quadratic_sigma_g_exact(tasks, p: np.ndarray) -> float:
     p = np.asarray(p)
     cbar = p @ centers
     gaps = ((a0 * (cbar - centers)) ** 2).sum(axis=1)
-    return float(np.dot(p, gaps))
+    return float(inner(p, gaps))
 
 
 def probe_gradient_bounds(
@@ -337,7 +337,7 @@ def rate_envelope(history: np.ndarray) -> BoundReport:
         )
     running = np.cumsum(history) / np.arange(1, history.size + 1)
     shape = 1.0 / np.sqrt(np.arange(1.0, history.size + 1))
-    c0 = float(np.dot(running, shape) / np.dot(shape, shape))
+    c0 = float(inner(running, shape) / inner(shape, shape))
     residual = float(np.sqrt(np.mean((running - c0 * shape) ** 2)))
     half, full = running[history.size // 2 - 1], running[-1]
     return BoundReport(

@@ -17,7 +17,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -28,6 +30,7 @@ from fedagm.config import parse_config
 from fedagm.orchestrator import run_experiment
 
 GOLDEN_NUMPY = "2.4.6"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 QUAD = {"kind": "quadratic", "num_clients": 6, "dim": 4, "heterogeneity": 0.5, "samples_per_client": 12}
 BLOBS = {"source": "blobs", "n": 120, "num_classes": 4, "num_features": 3}
@@ -144,46 +147,46 @@ GRID_CASES = {
 # sha256 of each artifact, first 16 hex digits
 GOLDEN = {
     "compare-logistic-dirichlet": {
-        "FedAvg_seed0.csv": "190fb6722f1f9faf",
-        "FedAvg_seed0.jsonl": "e3d9f5522e07fc4c",
-        "FedAvg_seed2.csv": "2ea605e67cd963da",
-        "FedAvg_seed2.jsonl": "5e2cd139ffb2a9dc",
-        "adam_small_seed0.csv": "f097db291b72ac5d",
-        "adam_small_seed0.jsonl": "ff8e76ab544d83a4",
-        "adam_small_seed2.csv": "c8b5536e90d756a6",
-        "adam_small_seed2.jsonl": "62fbaa423051f1e6",
+        "FedAvg_seed0.csv": "3a768c1c95193a85",
+        "FedAvg_seed0.jsonl": "5526d778fa02b2c7",
+        "FedAvg_seed2.csv": "11240a2a0c015852",
+        "FedAvg_seed2.jsonl": "2dfb5698bf0df3e2",
+        "adam_small_seed0.csv": "581655488437b965",
+        "adam_small_seed0.jsonl": "0c3a69580e49f462",
+        "adam_small_seed2.csv": "593d280db7a07812",
+        "adam_small_seed2.jsonl": "fe9484abf2893c5c",
         "eps-FedAdam_seed0.csv": "718bc00db1c71ae9",
         "eps-FedAdam_seed0.jsonl": "213a2c210b125403",
-        "eps-FedAdam_seed2.csv": "932ba46f524801b0",
-        "eps-FedAdam_seed2.jsonl": "86406ca37ca229f4",
+        "eps-FedAdam_seed2.csv": "536c2f15dce4b3f7",
+        "eps-FedAdam_seed2.jsonl": "682e4d14335c4ff2",
         "summary.csv": "b4841b5742297ee8",
         "stdout": "07b0f0625e8ace6c",
     },
     "logistic-sort-prox-decay": {
-        "metrics.csv": "c019bab5f5fc85d3",
-        "metrics.jsonl": "078fcdb32f63f405",
+        "metrics.csv": "6821e0e5b036a41a",
+        "metrics.jsonl": "f0d2acc3d95c1c23",
         "model.bin": "c5735cccf3bfff55",
-        "bound_report.json": "067b3226d75b1fe7",
+        "bound_report.json": "94a321b3f0279573",
         "iterates": "d2e552c668eee7c7",
-        "drift": "2b27c8eb7f655993",
+        "drift": "394e26d6feb89d87",
         "control_variates": "e3b0c44298fc1c14",
     },
     "mlp-epoch-plateau": {
-        "metrics.csv": "8973470410c3bebf",
-        "metrics.jsonl": "b8a55d8f1ed73cd9",
+        "metrics.csv": "fd3b0395b680050e",
+        "metrics.jsonl": "2e9a52dcf55a9183",
         "model.bin": "9bf405b3beee3134",
-        "bound_report.json": "c6f91e6d16b779c9",
+        "bound_report.json": "77155454cbca72f7",
         "iterates": "17a8c3494569d6ef",
         "drift": "e3b0c44298fc1c14",
         "control_variates": "e3b0c44298fc1c14",
     },
     "mlp-wide-scaffold-blocks": {
-        "metrics.csv": "31a300ee441f7213",
-        "metrics.jsonl": "c25eeb251d75b3d2",
+        "metrics.csv": "bc18e20cc477943f",
+        "metrics.jsonl": "00aa1937b388d238",
         "model.bin": "5b9a9194fd648738",
-        "bound_report.json": "a46d8e09c4af488e",
+        "bound_report.json": "fb6764468acc2283",
         "iterates": "f8c6508a438a8ff6",
-        "drift": "7492d4977e4317a7",
+        "drift": "28860548dc5c94a4",
         "control_variates": "f9990df9cabaff76",
     },
     "partition-report-alpha-grid": {
@@ -195,48 +198,48 @@ GOLDEN = {
         "stdout": "8ee9edc71ba5c763",
     },
     "quad-diverges": {
-        "metrics.csv": "7294fdc2d886ef09",
-        "metrics.jsonl": "316323750e45e9fd",
+        "metrics.csv": "04a7fce244b604a7",
+        "metrics.jsonl": "232cf007d24d1026",
         "model.bin": "c9a638e46ee41b39",
         "bound_report.json": "c290763e6de789d7",
         "iterates": "6d0743b9043aa3b9",
-        "drift": "8633b96450d88015",
+        "drift": "b9ea1e0da2edd253",
         "control_variates": "e3b0c44298fc1c14",
     },
     "quad-fedamsgrad-scaffold-repeat": {
-        "metrics.csv": "052989a3b63ff0c0",
-        "metrics.jsonl": "15ef451ba9f43abb",
+        "metrics.csv": "a02eebfeb874ae12",
+        "metrics.jsonl": "9d5dad8f9614dd0d",
         "model.bin": "9a7f436c692f9c7e",
         "bound_report.json": "24f808e09b9f2ffe",
         "iterates": "7cf667aa14010ca3",
-        "drift": "55003cdd5ab34a78",
+        "drift": "a012630860542e0f",
         "control_variates": "0591e8108335bab2",
     },
     "quad-fedavg-eta1": {
-        "metrics.csv": "47ff5a5625760af8",
-        "metrics.jsonl": "8a01f5f7fe5bfda3",
+        "metrics.csv": "6ce84d2944111eb2",
+        "metrics.jsonl": "c5f5758a3d1ef8f6",
         "model.bin": "a2cc37140746abe7",
-        "bound_report.json": "2ac37e9459665c3c",
+        "bound_report.json": "923bbe5876810f00",
         "iterates": "f77de8d1685bba71",
-        "drift": "5b09d33c4ee08db5",
+        "drift": "ece51b53548f13d9",
         "control_variates": "e3b0c44298fc1c14",
     },
     "quad-full-sampling": {
-        "metrics.csv": "eeb0c1c7c76ac13c",
-        "metrics.jsonl": "157287e0a728465c",
+        "metrics.csv": "d0824824700226ea",
+        "metrics.jsonl": "3c8ce7ea1a776bee",
         "model.bin": "0031fd84bc28fa11",
         "bound_report.json": "dac693dc31a9dbad",
         "iterates": "ab8879eb572d2cfa",
-        "drift": "456b20eed67d6e4b",
+        "drift": "ea8cd6c7e1fe2d0f",
         "control_variates": "e3b0c44298fc1c14",
     },
     "quad-s-fedadam": {
-        "metrics.csv": "d57d2d34e6664901",
-        "metrics.jsonl": "7a02c7d2e6a72ca8",
+        "metrics.csv": "17eeedae670eed70",
+        "metrics.jsonl": "87e760aa7d1e2030",
         "model.bin": "c04dcf56614c48f1",
-        "bound_report.json": "2c1dc95c2a7d7ca2",
+        "bound_report.json": "6550c0d37bc67110",
         "iterates": "41ad2ce7eebf69cc",
-        "drift": "ae8c036d749d63ac",
+        "drift": "2b347597b8144fcf",
         "control_variates": "e3b0c44298fc1c14",
     },
 }
@@ -306,6 +309,27 @@ def test_grid_outputs_match_their_golden_digests(name, tmp_path):
         f"{name}: the files or digests moved. The digests were taken with NumPy {GOLDEN_NUMPY}, "
         f"this run used NumPy {np.__version__} with BLAS {blas_build()}; new digests: {found}"
     )
+
+
+def test_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # d = 13,124 is above the length at which OpenBLAS's ddot splits a sum
+    # across its threads; each run sets the count before NumPy loads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CASES["mlp-wide-scaffold-blocks"]))
+    written = []
+    for threads in ("1", "2"):
+        env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "fedagm.cli", "run", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert set(written[0]) >= set(FILES)
+    moved = sorted(name for name in written[0] if written[0][name] != written[1].get(name))
+    assert written[0].keys() == written[1].keys() and not moved, f"{moved} moved"
 
 
 if __name__ == "__main__":

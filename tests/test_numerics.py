@@ -17,7 +17,7 @@ from fedagm import (
     sample_dirichlet,
     splitmix64,
 )
-from fedagm.numerics import seed_sequence_words
+from fedagm.numerics import inner, seed_sequence_words
 
 # First outputs of the reference splitmix64 stream seeded with 0.
 GOLDEN = 0x9E3779B97F4A7C15
@@ -64,6 +64,16 @@ class TestNormSq:
             x = gen.uniform(-5.0, 5.0, size=n)
             oracle = math.fsum(float(v) * float(v) for v in x)
             assert l2_norm_sq(x) == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+
+    def test_inner_is_einsum_by_vector_or_by_row(self):
+        # vectors and (rows, d) stacks each keep one pinned summation order;
+        # d = 35,594 is far above the length at which `ddot` goes threaded
+        gen = np.random.default_rng(5)
+        a, b = gen.normal(size=(2, 4, 35594))
+        assert inner(a[0], b[0]) == np.einsum("i,i->", a[0], b[0])
+        np.testing.assert_array_equal(inner(a, b), np.einsum("ij,ij->i", a, b))
+        assert inner(a, b).shape == (4,)
+        np.testing.assert_allclose(inner(a, b), [math.fsum(u * v) for u, v in zip(a, b)], rtol=1e-9)
 
 
 class TestDirichlet:

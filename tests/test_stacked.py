@@ -23,6 +23,7 @@ from fedagm import (
     StructuralError,
     evaluate,
     full_gradient,
+    l2_norm_sq,
     make_quadratic_client_data,
     run_clients,
     run_local,
@@ -190,7 +191,7 @@ class TestStackedEval:
         )
         stack = np.stack([full_gradient(t, s.data, x) for _, t, s in pairs])
         mean, sigma_g = weighted_dissimilarity(stack, problem.weights)
-        assert problem.gradient_stats(x) == (float(mean @ mean), sigma_g)
+        assert problem.gradient_stats(x) == (l2_norm_sq(mean), sigma_g)
         np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
 
     @given(
@@ -216,7 +217,7 @@ class TestStackedEval:
         np.testing.assert_array_equal(grads, stack)
         assert problem.train_loss(x) == float(sum(w * evaluate(t, d, x)[0] for w, t, d in pairs))
         mean, sigma_g = weighted_dissimilarity(stack, problem.weights)
-        assert problem.gradient_stats(x) == (float(mean @ mean), sigma_g)
+        assert problem.gradient_stats(x) == (l2_norm_sq(mean), sigma_g)
 
     @given(
         kind=st.sampled_from(KINDS),

@@ -478,6 +478,25 @@ class TestClientGradientStack:
         stack = client_evaluation(problem.stacked, x)[1]
         np.testing.assert_array_equal(problem.global_gradient(x), problem.weights @ stack)
 
+    def test_G_i_takes_the_row_wise_norms_of_the_stack(self):
+        # one pinned form: `inner` over the (N, d) stack's rows. Above 8192
+        # entries einsum buffers a stack's rows, so at d = 10,000 a row's sum
+        # can differ from the same row's taken alone.
+        tasks, p = make_synthetic_federated_quadratic(4, 10_000, 1.0, RngStream(3))
+        shards = [
+            ClientShard(make_quadratic_client_data(t, 3, 1.0, RngStream(4 + i)), w)
+            for i, (t, w) in enumerate(zip(tasks, p))
+        ]
+        gen = np.random.default_rng(12)
+        probes = [gen.normal(size=10_000) for _ in range(2)]
+        norms = []
+        for x in probes:
+            stack = np.stack([full_gradient(t, s.data, x) for t, s in zip(tasks, shards)])
+            norms.append(np.sqrt(np.einsum("ij,ij->i", stack, stack)))
+        np.testing.assert_array_equal(
+            probe_gradient_bounds(tasks, shards, probes), np.maximum(*norms)
+        )
+
     def test_streamed_constants_equal_the_probe_functions(self):
         problem = logistic_problem()
         tasks, shards = problem.client_tasks, problem.shards
