@@ -313,7 +313,7 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
         )
         shards = [
             ClientShard(
-                make_quadratic_client_data(tasks[i], samples, noise, stream.derive(2, i)),
+                _wrap("task", make_quadratic_client_data, tasks[i], samples, noise, stream.derive(2, i)),
                 float(p[i]),
             )
             for i in range(N)

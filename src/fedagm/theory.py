@@ -415,11 +415,13 @@ def _minibatch_noise(
     inner loop's does.
     """
     sampled = np.flatnonzero(fed.sizes > batch_size)
+    sigma_sq = np.zeros(fed.N)
+    if sampled.size == 0:  # nothing to draw, and a huge batch cannot size the draw
+        return sigma_sq
     picks = draw_minibatches(rng.derive_lanes(sampled), fed.sizes[sampled], batch_size, draws)
     xs = np.broadcast_to(x, (_NOISE_CHUNK, x.size))
     chunk = np.empty(xs.shape)
     noise = np.empty(draws)
-    sigma_sq = np.zeros(fed.N)
     decay = fed.task.weight_decay * x if fed.task.weight_decay else None
     for i, client_picks in zip(sampled, picks):
         for lo in range(0, draws, _NOISE_CHUNK):

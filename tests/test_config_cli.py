@@ -452,6 +452,25 @@ class TestRunCommand:
         assert report["rate_envelope"]["satisfied"] is False
 
     @quiet_overflow
+    def test_a_batch_wider_than_every_shard_still_writes_the_bound_report(self, tmp_path):
+        # no client is sampled, so the noise probe draws nothing: sigma_i = 0
+        obj = logistic_config()
+        obj["local"]["batch_size"] = 2**62
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["constants"]["sigma_i"] == [0.0] * 4
+
+    @quiet_overflow
+    @pytest.mark.parametrize("key", ["heterogeneity", "anchor_noise"])
+    def test_overflowing_quadratic_anchors_are_a_config_error(self, tmp_path, capsys, key):
+        obj = quad_with("task", **{key: 1e308})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: task: ")
+        assert not out.exists()
+
+    @quiet_overflow
     def test_bound_report_is_strict_json(self, tmp_path):
         # (K gamma)^2 underflows to 0 while 24 G^2 overflows, so V is NaN
         obj = quad_config(rounds=200, seed=1, server={"name": "FedAvg", "eta": 1.0})
