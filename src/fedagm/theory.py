@@ -155,7 +155,7 @@ def _probe(fed: StackedFederation, p: np.ndarray, x_points, noise=None):
     for j, x in enumerate(x_points):
         x = np.asarray(x, dtype=np.float64)
         grads = client_evaluation(fed, x)[1]
-        # fmax, as max() did, keeps the last G_i where a norm is NaN
+        # fmax skips a NaN norm, so a NaN gradient keeps the last G_i
         np.fmax(G_i, np.sqrt(inner(grads, grads)), out=G_i)
         mean, dissimilarity = weighted_dissimilarity(grads, p)
         sigma_g_sq = max(sigma_g_sq, dissimilarity)
