@@ -52,7 +52,7 @@ def main():
     x_star = quadratic_global_optimum(tasks, problem.weights)
     probes = [np.zeros(3), x_star, 2.0 * x_star]
     c = estimate_problem_constants(
-        problem, K=K, gamma=GAMMA, S=6, eta=1.0,
+        problem, K=K, gamma=GAMMA, S=6,
         x_points=probes, rng=RngStream(9), batch_size=4,
     )
     print("estimated constants")

@@ -89,7 +89,6 @@ def _bound_report(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
             K=cfg.local.K,
             gamma=cfg.local.gamma,
             S=cfg.sampling.S,
-            eta=cfg.server.eta,
             x_points=probes,
             rng=RngStream(cfg.seed).derive(TAG_THEORY),
             batch_size=cfg.local.batch_size,

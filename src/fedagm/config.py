@@ -175,30 +175,18 @@ def parse_calibration(section: dict, path: str) -> Calibration:
 
 
 def parse_server(section: dict, path: str) -> ServerOptimizer:
-    if "name" in section:
-        name = _get_str(section, "name", path)
-        eta = float(_get_number(section, "eta", path, minimum=0.0))
-        overrides = {
-            key: float(_get_number(section, key, path)) for key in ("beta1", "beta2") if key in section
-        }
-        if "calibration" in section:
-            overrides["calibration"] = parse_calibration(
-                _get_section(section, "calibration", path), path + ".calibration"
-            )
-        return _wrap(path, named_optimizer, name, eta, **overrides)
-    kind = _get_str(section, "kind", path)
-    cal = Calibration("identity")
+    """A preset `name` or an explicit `kind`; the keys given override the
+    preset's parameters, and an absent key keeps the preset's or
+    ServerOptimizer's default."""
+    build, first = (named_optimizer, "name") if "name" in section else (ServerOptimizer, "kind")
+    first = _get_str(section, first, path)
+    eta = float(_get_number(section, "eta", path))
+    given = {key: float(_get_number(section, key, path)) for key in ("beta1", "beta2") if key in section}
     if "calibration" in section:
-        cal = parse_calibration(_get_section(section, "calibration", path), path + ".calibration")
-    return _wrap(
-        path,
-        ServerOptimizer,
-        kind=kind,
-        eta=float(_get_number(section, "eta", path)),
-        beta1=float(_get_number(section, "beta1", path, default=0.0)),
-        beta2=float(_get_number(section, "beta2", path, default=0.0)),
-        calibration=cal,
-    )
+        given["calibration"] = parse_calibration(
+            _get_section(section, "calibration", path), path + ".calibration"
+        )
+    return _wrap(path, build, first, eta, **given)
 
 
 def parse_schedule(section: dict, path: str) -> ScheduleSpec:

@@ -88,7 +88,7 @@ class ServerOptimizer:
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0 < self.eta < np.inf:
-            raise ParameterError("eta must be finite and > 0")
+            raise ParameterError("eta must be finite and > 0", key="eta")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ParameterError("beta1 and beta2 must lie in [0, 1)")
         if self.kind in ("avg", "momentum"):
@@ -107,7 +107,6 @@ class ServerState:
     x: ParamVector
     m: ParamVector
     v: ParamVector
-    t: int = 0
 
 
 def overflowed_array(state: ServerState) -> str | None:
@@ -187,7 +186,7 @@ def server_step(
         x = np.asarray(x_tilde, dtype=np.float64).copy()
     else:
         x = state.x - (opt.eta / calibrate(v, opt.calibration)) * m
-    return ServerState(x=x, m=m, v=v, t=state.t + 1)
+    return ServerState(x=x, m=m, v=v)
 
 
 def recover_baseline(opt: ServerOptimizer) -> str:

@@ -36,7 +36,7 @@ class ProblemConstants:
 
     sigma_i bounds each client's minibatch gradient noise, G_i its gradient
     norm over the region of interest, sigma_g the client-to-mean gradient
-    dissimilarity. K, gamma, S, eta describe the run that the bounds are
+    dissimilarity. K, gamma, S describe the run that the bounds are
     evaluated for.
     """
 
@@ -48,7 +48,6 @@ class ProblemConstants:
     K: int
     gamma: float
     S: int
-    eta: float
 
     def __post_init__(self):
         self.sigma_i = np.asarray(self.sigma_i, dtype=np.float64)
@@ -57,7 +56,7 @@ class ProblemConstants:
         if not (self.sigma_i.shape == self.G_i.shape == self.p.shape):
             raise StructuralError("sigma_i, G_i, p must have one entry per client")
         # a probe that overflows must not reach a report as a bound
-        if not all(0 <= v < math.inf for v in (self.L, self.sigma_g, self.gamma, self.eta)):
+        if not all(0 <= v < math.inf for v in (self.L, self.sigma_g, self.gamma)):
             raise ParameterError("constants must be finite and nonnegative")
         if not all(np.all((0 <= a) & (a < math.inf)) for a in (self.sigma_i, self.G_i)):
             raise ParameterError("per-client constants must be finite and nonnegative")
@@ -96,15 +95,17 @@ def _noise_moments(c: ProblemConstants) -> tuple[float, float]:
     return sig2, g2
 
 
-def compute_V(c: ProblemConstants) -> float:
-    """Second-moment ceiling for the per-round virtual direction.
-
-    One term scales with 1/S (participation variance), one does not (local
-    update magnitude); both scale with (K * gamma)^2.
-    """
+def _ceiling(c: ProblemConstants, scale: float) -> float:
+    """`scale` times the sampled-average gradient's second-moment ceiling:
+    one term scales with 1/S (participation variance), one does not."""
     sig2, g2 = _noise_moments(c)
-    kg2 = (c.K * c.gamma) ** 2
-    return kg2 / c.S * (12.0 * sig2 + 24.0 * g2) + 4.0 * kg2 * (sig2 + g2)
+    return scale / c.S * (12.0 * sig2 + 24.0 * g2) + 4.0 * scale * (sig2 + g2)
+
+
+def compute_V(c: ProblemConstants) -> float:
+    """Second-moment ceiling for the per-round virtual direction: K inner
+    steps of size gamma scale the sampled-gradient ceiling by (K * gamma)^2."""
+    return _ceiling(c, (c.K * c.gamma) ** 2)
 
 
 def mu_pair(cal: Calibration, V: float) -> MuPair:
@@ -133,8 +134,7 @@ def stepsize_admissible(c: ProblemConstants, mu: MuPair) -> tuple[bool, float]:
 
 def lemma_second_moment_bound(c: ProblemConstants) -> float:
     """Ceiling on E||g||^2 for the sampled-average inner gradient."""
-    sig2, g2 = _noise_moments(c)
-    return (12.0 * sig2 + 24.0 * g2) / c.S + 4.0 * (sig2 + g2)
+    return _ceiling(c, 1.0)
 
 
 def _probe(fed: StackedFederation, p: np.ndarray, x_points, noise=None):
@@ -354,7 +354,6 @@ def estimate_problem_constants(
     K: int,
     gamma: float,
     S: int,
-    eta: float,
     x_points: list[np.ndarray],
     rng: RngStream,
     batch_size: int,
@@ -391,7 +390,6 @@ def estimate_problem_constants(
         K=K,
         gamma=gamma,
         S=S,
-        eta=eta,
     )
 
 

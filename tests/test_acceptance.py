@@ -192,7 +192,6 @@ def test_04_calibration_spans_hold_on_a_million_draws():
         K=2,
         gamma=0.1,
         S=1,
-        eta=1.0,
     )
     V = compute_V(c)
     assert abs(V - 5.12) < 1e-12
@@ -256,7 +255,6 @@ def test_06_sampled_gradient_second_moment_obeys_its_ceiling():
         K=1,
         gamma=0.02,
         S=1,
-        eta=1.0,
     )
     bound = lemma_second_moment_bound(c)
 
@@ -324,7 +322,7 @@ def test_07_client_drift_stays_under_its_ceiling():
     x_star = quadratic_global_optimum(tasks, problem.weights)
     probes = [np.zeros(3), x_star, 2.0 * x_star]
     c = estimate_problem_constants(
-        problem, K=K, gamma=gamma, S=5, eta=1.0,
+        problem, K=K, gamma=gamma, S=5,
         x_points=probes, rng=RngStream(77), batch_size=4,
     )
     report = verify_drift_bound(
@@ -362,7 +360,7 @@ def test_08_every_method_drives_the_gradient_floor_down():
     x_star = quadratic_global_optimum(tasks, p)
     probes = [np.zeros(4), x_star, 0.5 * x_star, 1.5 * x_star]
     c = estimate_problem_constants(
-        problem, K=K, gamma=gamma, S=5, eta=0.1,
+        problem, K=K, gamma=gamma, S=5,
         x_points=probes, rng=RngStream(88), batch_size=8,
     )
     V = compute_V(c)

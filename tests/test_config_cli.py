@@ -16,7 +16,14 @@ import pytest
 import fedagm
 import fedagm.cli
 from fedagm.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from fedagm.config import build_dataset, build_problem, load_json_file, parse_config, parse_partition
+from fedagm.config import (
+    build_dataset,
+    build_problem,
+    load_json_file,
+    parse_config,
+    parse_partition,
+    parse_server,
+)
 from fedagm.errors import ConfigError, ParameterError
 from fedagm.numerics import RngStream
 from fedagm.orchestrator import TAG_PARTITION, run_experiment
@@ -27,7 +34,7 @@ from fedagm.partition import (
     write_partition_report,
 )
 from fedagm.serialize import METRICS_HEADER, fmt17, load_model
-from fedagm.server import named_optimizer
+from fedagm.server import _NAMED, named_optimizer
 
 
 # The blow-up tests overflow on purpose.
@@ -161,6 +168,28 @@ class TestParseConfig:
     def test_unknown_server_name(self):
         with pytest.raises(ConfigError, match="server"):
             parse_config(quad_config(server={"name": "FedFoo", "eta": 1.0}))
+
+    @pytest.mark.parametrize("name", sorted(_NAMED))
+    def test_every_preset_parses_like_its_explicit_section(self, name):
+        preset = named_optimizer(name, 0.3)
+        cal = preset.calibration
+        explicit = {
+            "kind": preset.kind,
+            "eta": 0.3,
+            "beta1": preset.beta1,
+            "beta2": preset.beta2,
+            "calibration": {"scheme": cal.scheme, "eps": cal.eps, "p": cal.p, "beta": cal.beta},
+        }
+        assert parse_server({"name": name, "eta": 0.3}, "server") == parse_server(explicit, "server")
+
+    @pytest.mark.parametrize("eta", [0, -1])
+    @pytest.mark.parametrize("head", [{"name": "FedAdam"}, {"kind": "adam"}], ids=["name", "kind"])
+    def test_eta_error_names_server_eta_in_both_forms(self, tmp_path, capsys, head, eta):
+        obj = quad_config(server={**head, "eta": eta})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: server.eta: ")
+        assert not out.exists()
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -285,7 +285,6 @@ class TestServerStep:
         assert out is not state
         np.testing.assert_array_equal(state.m, np.zeros(2))
         np.testing.assert_array_equal(state.v, np.zeros(2))
-        assert out.t == 1
 
     def test_dim_mismatch(self):
         state = init_server_state(np.zeros(2))

@@ -49,7 +49,6 @@ def constants(**kw):
         K=2,
         gamma=0.1,
         S=1,
-        eta=1.0,
     )
     base.update(kw)
     return ProblemConstants(**base)
@@ -416,7 +415,7 @@ class TestEstimateConstants:
         problem = FederatedProblem(tasks, shards)
         probes = [np.zeros(3), np.ones(3)]
         c = estimate_problem_constants(
-            problem, K=3, gamma=0.01, S=2, eta=1.0, x_points=probes,
+            problem, K=3, gamma=0.01, S=2, x_points=probes,
             rng=RngStream(6), batch_size=5,
         )
         expected_L = max(float(np.max(t.curvature)) for t in tasks)
@@ -442,7 +441,7 @@ class TestEstimateConstants:
         # shift-invariant, so an all-ones probe has the same gradient as zero
         probe = 0.1 * np.random.default_rng(10).normal(size=task.dim)
         c = estimate_problem_constants(
-            problem, K=2, gamma=0.05, S=2, eta=1.0,
+            problem, K=2, gamma=0.05, S=2,
             x_points=[np.zeros(task.dim), probe],
             rng=RngStream(9), batch_size=8,
         )
@@ -502,7 +501,7 @@ class TestClientGradientStack:
         tasks, shards = problem.client_tasks, problem.shards
         probes = self.probes(problem)
         c = estimate_problem_constants(
-            problem, K=2, gamma=0.05, S=2, eta=1.0, x_points=probes,
+            problem, K=2, gamma=0.05, S=2, x_points=probes,
             rng=RngStream(9), batch_size=8, noise_draws=4,
         )
         np.testing.assert_array_equal(c.G_i, probe_gradient_bounds(tasks, shards, probes))
