@@ -310,15 +310,13 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
 
     data = build_dataset(_get_section(task_sec, "dataset", "task"), "task.dataset", seed, base_dir)
     wd = float(_get_number(task_sec, "weight_decay", "task", default=0.0, minimum=0.0))
+    # an IDX dataset's labels set num_classes, which may be 1
+    features, classes = data.features.shape[1], data.num_classes
     if kind == "logistic":
-        task = LogisticRegressionTask(data.features.shape[1], data.num_classes, weight_decay=wd)
+        task = _wrap("task", LogisticRegressionTask, features, classes, weight_decay=wd)
     else:
-        task = MlpTask(
-            data.features.shape[1],
-            _get_int(task_sec, "hidden", "task", minimum=1),
-            data.num_classes,
-            weight_decay=wd,
-        )
+        hidden = _get_int(task_sec, "hidden", "task", minimum=1)
+        task = _wrap("task", MlpTask, features, hidden, classes, weight_decay=wd)
     test_fraction = float(_get_number(task_sec, "test_fraction", "task", default=0.2))
     train, test = _split_train_test(data, test_fraction, seed)
     spec = parse_partition(_get_section(obj, "partition", "config"), "partition")

@@ -61,12 +61,15 @@ class Calibration:
         if self.scheme == "softplus" and not 0 < self.beta < np.inf:
             raise ParameterError("softplus beta must be finite and > 0")
         # the stepsize band's top, 1/calibrate(0), is set by eps (beta for
-        # softplus); calibrate is > 0, and a float quotient overflows to inf
-        if not math.isfinite(1.0 / float(calibrate(np.zeros(1), self)[0])):
+        # softplus): a tiny eps overflows the quotient to inf, and a tiny beta
+        # overflows calibrate(0) = log(2)/beta to inf, so the quotient is 0
+        with np.errstate(over="ignore"):
+            top = 1.0 / float(calibrate(np.zeros(1), self)[0])
+        if not 0 < top < math.inf:
             key = "beta" if self.scheme == "softplus" else "eps"
             raise ParameterError(
                 f"{key} = {getattr(self, key)!r} makes the largest stepsize 1/calibrate(0) "
-                f"infinite; it must be finite",
+                f"= {top!r}; it must be finite and > 0",
                 key=key,
             )
 

@@ -82,8 +82,10 @@ class QuadraticTask:
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.curvature.shape != self.center.shape or self.curvature.ndim != 1:
             raise StructuralError("curvature and center must be equal-length vectors")
-        if np.any(self.curvature <= 0):
-            raise ParameterError("quadratic curvature must be strictly positive")
+        if not np.all((0 < self.curvature) & (self.curvature < np.inf)):  # NaN fails too
+            raise ParameterError("quadratic curvature must be finite and strictly positive")
+        if not np.isfinite(self.center).all():
+            raise ParameterError("quadratic center must be finite")
         if not 0 <= self.weight_decay < np.inf:
             raise ParameterError("weight_decay must be finite and >= 0")
 

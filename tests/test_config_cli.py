@@ -255,6 +255,30 @@ class TestBuildProblem:
         assert problem.shards[0].data.features.shape[1] == rows * cols
         assert sum(s.data.n for s in problem.shards) == n
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_one_class_idx_dataset_is_a_config_error(self, tmp_path, capsys, kind):
+        # the labels set num_classes, and a task needs two
+        n, rows, cols = 20, 2, 2
+        with open(tmp_path / "images.idx", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
+            fh.write(bytes(range(n * rows * cols)))
+        with open(tmp_path / "labels.idx", "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, n))
+            fh.write(bytes(n))
+        obj = quad_config(
+            task={
+                "kind": kind,
+                "hidden": 3,
+                "dataset": {"source": "idx", "images": "images.idx", "labels": "labels.idx"},
+            },
+            partition={"scheme": "uniform", "num_clients": 2},
+            sampling={"clients_per_round": 2},
+        )
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: task: ")
+        assert not out.exists()
+
     def test_missing_idx_file_is_config_error(self, tmp_path):
         obj = {
             "task": {
@@ -453,6 +477,25 @@ class TestRunCommand:
             out = tmp_path / key
             assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith(f"config error: server.calibration.{key}: ")
+            assert not out.exists()
+
+    # calibrate(0) = log(2)/beta must not overflow, and the check warns of nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta, code", [(1e-310, EXIT_CONFIG), (1e-320, EXIT_CONFIG), (1e-308, EXIT_OK)])
+    def test_zero_largest_stepsize_is_a_config_error(self, tmp_path, capsys, beta, code):
+        # a frozen server: every stepsize was 0 and every row repeated round 0's loss
+        obj = quad_config(
+            task={
+                "kind": "logistic",
+                "dataset": {"source": "blobs", "n": 60, "num_classes": 3, "num_features": 2},
+            },
+            partition={"scheme": "uniform", "num_clients": 4},
+            server={"name": "s-FedAdam", "eta": 0.1, "calibration": {"scheme": "softplus", "beta": beta}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err.startswith("config error: server.calibration.beta: ")
             assert not out.exists()
 
     @quiet_overflow
@@ -672,6 +715,9 @@ nan, inf = float("nan"), float("inf")
         pytest.param(lambda: fedagm.LogisticRegressionTask(3, 2, weight_decay=nan), id="logistic-wd-nan"),
         pytest.param(lambda: fedagm.MlpTask(3, 4, 2, weight_decay=inf), id="mlp-wd-inf"),
         pytest.param(lambda: fedagm.QuadraticTask([1.0], [0.0], weight_decay=nan), id="quadratic-wd-nan"),
+        pytest.param(lambda: fedagm.QuadraticTask([inf], [0.0]), id="quadratic-curvature-inf"),
+        pytest.param(lambda: fedagm.QuadraticTask([nan], [0.0]), id="quadratic-curvature-nan"),
+        pytest.param(lambda: fedagm.QuadraticTask([1.0], [inf]), id="quadratic-center-inf"),
     ],
 )
 def test_constructors_reject_non_finite_hyperparameters(build):

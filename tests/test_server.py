@@ -348,10 +348,20 @@ class TestOptimizerValidation:
             Calibration(scheme, **{key: value})
         assert info.value.key == key
 
+    # log(2)/beta overflows to inf, so the largest stepsize is 0 and the server
+    # never moves; the check raises without a NumPy overflow warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e-310, 1e-320])
+    def test_largest_stepsize_must_be_positive(self, beta):
+        with pytest.raises(ParameterError, match="finite and > 0") as info:
+            Calibration("softplus", beta=beta)
+        assert info.value.key == "beta"
+
     def test_small_floors_with_a_finite_largest_stepsize_are_accepted(self):
         for cal in (
             Calibration("epsilon", eps=1e-308),
             Calibration("power", eps=1e-320, p=0.5),
             Calibration("softplus", beta=1e308),
+            Calibration("softplus", beta=1e-308),
         ):
-            assert np.isfinite(1.0 / calibrate(np.zeros(1), cal)[0])
+            assert 0 < 1.0 / calibrate(np.zeros(1), cal)[0] < np.inf
