@@ -178,15 +178,15 @@ def parse_server(section: dict, path: str) -> ServerOptimizer:
     """A preset `name` or an explicit `kind`; the keys given override the
     preset's parameters, and an absent key keeps the preset's or
     ServerOptimizer's default."""
-    build, first = (named_optimizer, "name") if "name" in section else (ServerOptimizer, "kind")
-    first = _get_str(section, first, path)
+    build, head = (named_optimizer, "name") if "name" in section else (ServerOptimizer, "kind")
+    name_or_kind = _get_str(section, head, path)
     eta = float(_get_number(section, "eta", path))
     given = {key: float(_get_number(section, key, path)) for key in ("beta1", "beta2") if key in section}
     if "calibration" in section:
         given["calibration"] = parse_calibration(
             _get_section(section, "calibration", path), path + ".calibration"
         )
-    return _wrap(path, build, first, eta, **given)
+    return _wrap(path, build, name_or_kind, eta, **given)
 
 
 def parse_schedule(section: dict, path: str) -> ScheduleSpec:

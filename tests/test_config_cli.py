@@ -468,35 +468,24 @@ class TestRunCommand:
         assert "constants" not in report
         assert len(read_rows(out / "metrics.csv")) == 1
 
+    # a beta of 1e-310 or 1e-320 froze the server: every stepsize was 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_largest_stepsize_is_a_config_error_naming_its_key(self, tmp_path, capsys):
-        for key, calibration in (
+        for i, (key, calibration) in enumerate((
             ("eps", {"scheme": "epsilon", "eps": 1e-320}),
             ("beta", {"scheme": "softplus", "beta": 1.7e308}),
-        ):
+            ("beta", {"scheme": "softplus", "beta": 1e-310}),
+            ("beta", {"scheme": "softplus", "beta": 1e-320}),
+        )):
             obj = quad_config(server={"name": "FedAdam", "eta": 0.1, "calibration": calibration})
-            out = tmp_path / key
+            out = tmp_path / str(i)
             assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith(f"config error: server.calibration.{key}: ")
             assert not out.exists()
-
-    # calibrate(0) = log(2)/beta must not overflow, and the check warns of nothing
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("beta, code", [(1e-310, EXIT_CONFIG), (1e-320, EXIT_CONFIG), (1e-308, EXIT_OK)])
-    def test_zero_largest_stepsize_is_a_config_error(self, tmp_path, capsys, beta, code):
-        # a frozen server: every stepsize was 0 and every row repeated round 0's loss
-        obj = quad_config(
-            task={
-                "kind": "logistic",
-                "dataset": {"source": "blobs", "n": 60, "num_classes": 3, "num_features": 2},
-            },
-            partition={"scheme": "uniform", "num_clients": 4},
-            server={"name": "s-FedAdam", "eta": 0.1, "calibration": {"scheme": "softplus", "beta": beta}},
-        )
-        out = tmp_path / "out"
-        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == code
-        if code == EXIT_CONFIG:
-            assert capsys.readouterr().err.startswith("config error: server.calibration.beta: ")
-            assert not out.exists()
+        # log(2)/1e-308 is finite, so the largest stepsize is > 0
+        calibration = {"scheme": "softplus", "beta": 1e-308}
+        obj = quad_config(server={"name": "s-FedAdam", "eta": 0.1, "calibration": calibration})
+        assert main(["run", write_config(tmp_path, obj), "--out", str(tmp_path / "ok")]) == EXIT_OK
 
     @quiet_overflow
     def test_overflowing_bound_analysis_becomes_a_note(self, tmp_path):

@@ -337,25 +337,25 @@ class TestOptimizerValidation:
         with pytest.raises(ParameterError):
             Calibration("smoothstep")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "scheme, key, value",
-        [("epsilon", "eps", 1e-320), ("epsilon", "eps", 5e-324), ("softplus", "beta", 1.7e308)],
+        [
+            ("epsilon", "eps", 1e-320),
+            ("epsilon", "eps", 5e-324),
+            ("softplus", "beta", 1.7e308),
+            ("softplus", "beta", 1e-310),
+            ("softplus", "beta", 1e-320),
+        ],
     )
     def test_largest_stepsize_must_be_finite(self, scheme, key, value):
         # 1/calibrate(0) overflowed: mu_pair reported mu_upper = inf, which
-        # bound_report.json wrote as a bare Infinity
-        with pytest.raises(ParameterError) as info:
+        # bound_report.json wrote as a bare Infinity. A tiny beta overflows
+        # calibrate(0) = log(2)/beta instead, and every stepsize was 0. The
+        # check warns of neither.
+        with pytest.raises(ParameterError, match="finite and > 0") as info:
             Calibration(scheme, **{key: value})
         assert info.value.key == key
-
-    # log(2)/beta overflows to inf, so the largest stepsize is 0 and the server
-    # never moves; the check raises without a NumPy overflow warning
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("beta", [1e-310, 1e-320])
-    def test_largest_stepsize_must_be_positive(self, beta):
-        with pytest.raises(ParameterError, match="finite and > 0") as info:
-            Calibration("softplus", beta=beta)
-        assert info.value.key == "beta"
 
     def test_small_floors_with_a_finite_largest_stepsize_are_accepted(self):
         for cal in (
