@@ -224,10 +224,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Metric log plus the final server state and optional diagnostics.
-
-    `control_variates` is the final (N, d) table of SCAFFOLD client
-    variates (row i is client i's); it is None unless the run is scaffold.
+    """A run's state between rounds, and its result once they end: `start`
+    builds it at round 0, and `advance` takes round `t` in place. `local`
+    and `server` carry the last round's gamma and eta.
+    `control_variates` is the (N, d) table of SCAFFOLD client variates
+    (row i is client i's); it is None unless the run is scaffold.
     `overflowed` names the server array ("x", "m" or "v") whose non-finite
     entries ended a diverged run; it is None when the loss cap did.
     """
@@ -235,6 +236,11 @@ class ExperimentResult:
     metrics: list[RoundMetrics]
     state: ServerState
     method: str
+    local: LocalConfig
+    server: ServerOptimizer
+    gamma_tracker: PlateauTracker
+    eta_tracker: PlateauTracker
+    t: int = 0
     diverged: bool = False
     divergence_round: int | None = None
     iterates: list | None = None
@@ -258,8 +264,27 @@ def initial_point(cfg: ExperimentConfig) -> np.ndarray:
     return np.array(cfg.init_x, dtype=np.float64)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Drive T rounds and return the full metric log.
+def start(cfg: ExperimentConfig) -> ExperimentResult:
+    """The run at round 0: x0, zero momenta and variates, empty logs."""
+    prob = cfg.problem
+    return ExperimentResult(
+        metrics=[],
+        state=init_server_state(initial_point(cfg)),
+        method=recover_baseline(cfg.server),
+        local=cfg.local,
+        server=cfg.server,
+        gamma_tracker=PlateauTracker(cfg.gamma_schedule.patience),
+        eta_tracker=PlateauTracker(cfg.eta_schedule.patience),
+        iterates=[] if cfg.record_iterates else None,
+        drift=np.zeros((cfg.rounds, cfg.local.K + 1)) if cfg.record_drift else None,
+        control_variates=np.zeros((prob.N, prob.dim)) if cfg.local.variant == "scaffold" else None,
+    )
+
+
+def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
+    """Take round `run.t` in place: evaluate, schedule, sample, train,
+    record drift, aggregate, update variates, step the server, log a row,
+    check for overflow. A run that has diverged or taken T rounds takes no more.
 
     Each round makes one `run_clients` call, which runs the sampled slots
     in lockstep on the calling thread. It gets the slots' streams as one
@@ -273,130 +298,113 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     A server step that leaves the iterate x, or its momentum m or v,
     non-finite in round t marks the run diverged at round t + 1 and names
-    that array, and a training loss above
-    `DIVERGENCE_LOSS_CAP` in round t marks it diverged at round t; either
-    aborts the loop, and the log then ends at the last logged round. The
-    server state is checked every round. The loss is computed, and so the cap
-    checked, only on evaluated rounds (every `eval_every`-th and the last),
-    or on every round when a plateau schedule is in use, so a run can take
-    up to `eval_every - 1` more rounds after its loss passed the cap.
+    that array, and a training loss above `DIVERGENCE_LOSS_CAP` in round t
+    marks it diverged at round t; either ends the run, and the log then
+    ends at the last logged round. The server state is checked every round.
+    The loss is computed, and so the cap checked, only on evaluated rounds
+    (every `eval_every`-th and the last), or on every round when a plateau
+    schedule is in use, so a run can take up to `eval_every - 1` more
+    rounds after its loss passed the cap.
 
-    For the scaffold variant the round loop owns all SCAFFOLD state: one
+    For the scaffold variant the run owns all SCAFFOLD state: one
     (N, d) table of client variates, zero at the start. Each round hands
     every slot its client's row and the table's mean as the server variate;
     after the round, each sampled client's row becomes the variate its last
     slot returned.
     """
-    prob = cfg.problem
-    fed = prob.stacked
-    root = RngStream(cfg.seed)
-    T = cfg.rounds
-    p = prob.weights
+    if run.diverged or not run.t < cfg.rounds:
+        raise ParameterError(f"round {run.t} of {cfg.rounds} cannot run: the run has ended")
+    prob, p, t, T = cfg.problem, cfg.problem.weights, run.t, cfg.rounds
+    root, cv_table = RngStream(cfg.seed), run.control_variates
+    t_start = time.perf_counter()
+    want_row = (t % cfg.eval_every == 0) or t == T - 1
+    train_loss = np.nan
+    if want_row or "plateau" in (cfg.gamma_schedule.kind, cfg.eta_schedule.kind):
+        losses, grads = client_evaluation(prob.stacked, run.state.x, gradients=want_row)
+        train_loss = weighted_loss(p, losses)
+        if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS_CAP:
+            run.diverged, run.divergence_round = True, t
+            return
+        run.gamma_tracker.update(train_loss)
+        run.eta_tracker.update(train_loss)
 
-    state = init_server_state(initial_point(cfg))
-    cv_table = np.zeros((prob.N, prob.dim)) if cfg.local.variant == "scaffold" else None
+    # A product that underflows to 0 keeps the last positive stepsize, and
+    # a config is rebuilt only when its stepsize changes.
+    gamma = cfg.local.gamma * apply_schedule(cfg.gamma_schedule, t, T, run.gamma_tracker.decays)
+    if gamma and gamma != run.local.gamma:
+        run.local = replace(run.local, gamma=gamma)
+    eta = cfg.server.eta * apply_schedule(cfg.eta_schedule, t, T, run.eta_tracker.decays)
+    if eta and eta != run.server.eta:
+        run.server = replace(run.server, eta=eta)
 
-    gamma_tracker = PlateauTracker(cfg.gamma_schedule.patience)
-    eta_tracker = PlateauTracker(cfg.eta_schedule.patience)
-    plateau_in_use = "plateau" in (cfg.gamma_schedule.kind, cfg.eta_schedule.kind)
-    gamma_t, eta_t = cfg.local.gamma, cfg.server.eta
+    grad_norm_sq, sigma_g, test_acc = np.nan, np.nan, 0.0
+    if want_row:
+        mean, sigma_g = weighted_dissimilarity(grads, p)
+        grad_norm_sq = l2_norm_sq(mean)
+        # free the (N, d) stack, and its mean, before the clients train
+        del grads, mean
+        _, test_acc = prob.test_metrics(run.state.x)
+    if run.iterates is not None:
+        run.iterates.append(run.state.x.copy())
 
-    metrics: list[RoundMetrics] = []
-    iterates: list | None = [] if cfg.record_iterates else None
-    drift = np.zeros((T, cfg.local.K + 1)) if cfg.record_drift else None
-    diverged = False
-    divergence_round = None
-    overflowed = None
-
-    for t in range(T):
-        t_start = time.perf_counter()
-        want_row = (t % cfg.eval_every == 0) or t == T - 1
-        train_loss = np.nan
-        if want_row or plateau_in_use:
-            losses, grads = client_evaluation(fed, state.x, gradients=want_row)
-            train_loss = weighted_loss(p, losses)
-            if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS_CAP:
-                diverged, divergence_round = True, t
-                break
-            gamma_tracker.update(train_loss)
-            eta_tracker.update(train_loss)
-
-        # A product that underflows to 0 keeps the last positive stepsize.
-        gamma_t = cfg.local.gamma * apply_schedule(cfg.gamma_schedule, t, T, gamma_tracker.decays) or gamma_t
-        eta_t = cfg.server.eta * apply_schedule(cfg.eta_schedule, t, T, eta_tracker.decays) or eta_t
-
-        grad_norm_sq, sigma_g = (np.nan, np.nan)
-        test_acc = 0.0
-        if want_row:
-            mean, sigma_g = weighted_dissimilarity(grads, p)
-            grad_norm_sq = l2_norm_sq(mean)
-            # free the (N, d) stack, and its mean, before the clients train
-            del grads, mean
-            _, test_acc = prob.test_metrics(state.x)
-        if iterates is not None:
-            iterates.append(state.x.copy())
-
-        sampled = sample_round(p, cfg.sampling, root.derive(TAG_SAMPLE, t))
-        broadcast_x = state.x
-        results = run_clients(
-            fed,
-            sampled,
-            broadcast_x,
-            replace(cfg.local, gamma=gamma_t),
-            root.derive_lanes(TAG_LOCAL, t, np.arange(sampled.size), sampled),
-            server_cv=None if cv_table is None else cv_table.mean(axis=0),
-            client_cvs=None if cv_table is None else cv_table[sampled],
-            record=cfg.record_drift,
-        )
-
-        if drift is not None:
-            for slot, res in enumerate(results):
-                w = p[int(sampled[slot])]
-                for k, xk in enumerate(res.trajectory):
-                    drift[t, k] += w * l2_norm_sq(xk - broadcast_x)
-
-        # Aggregate in ascending (client, slot) order; this pins the
-        # floating-point sum.
-        slot_order = sorted(range(len(sampled)), key=lambda s: (int(sampled[s]), s))
-        x_tilde, delta = aggregate(state.x, [results[s].x_final for s in slot_order])
-
-        if cv_table is not None:
-            # Slot order: a client drawn twice keeps its last slot's variate.
-            for slot, res in enumerate(results):
-                cv_table[int(sampled[slot])] = res.new_control_variate
-
-        state = server_step(state, delta, replace(cfg.server, eta=eta_t), x_tilde=x_tilde)
-
-        if want_row:
-            wall = (time.perf_counter() - t_start) * 1e3 if cfg.record_walltime else 0.0
-            metrics.append(
-                RoundMetrics(
-                    t=t,
-                    train_loss=train_loss,
-                    test_acc=test_acc,
-                    grad_norm_sq=grad_norm_sq,
-                    sigma_g=sigma_g,
-                    gamma=gamma_t,
-                    eta=eta_t,
-                    clients=[int(c) for c in sampled],
-                    wall_ms=wall,
-                )
-            )
-        overflowed = overflowed_array(state)
-        if overflowed is not None:
-            diverged, divergence_round = True, t + 1
-            break
-
-    if iterates is not None and not diverged:
-        iterates.append(state.x.copy())
-    return ExperimentResult(
-        metrics=metrics,
-        state=state,
-        method=recover_baseline(cfg.server),
-        diverged=diverged,
-        divergence_round=divergence_round,
-        iterates=iterates,
-        drift=drift,
-        control_variates=cv_table,
-        overflowed=overflowed,
+    sampled = sample_round(p, cfg.sampling, root.derive(TAG_SAMPLE, t))
+    broadcast_x = run.state.x
+    results = run_clients(
+        prob.stacked,
+        sampled,
+        broadcast_x,
+        run.local,
+        root.derive_lanes(TAG_LOCAL, t, np.arange(sampled.size), sampled),
+        server_cv=None if cv_table is None else cv_table.mean(axis=0),
+        client_cvs=None if cv_table is None else cv_table[sampled],
+        record=cfg.record_drift,
     )
+
+    if run.drift is not None:
+        for slot, res in enumerate(results):
+            w = p[int(sampled[slot])]
+            for k, xk in enumerate(res.trajectory):
+                run.drift[t, k] += w * l2_norm_sq(xk - broadcast_x)
+
+    # Aggregate in ascending (client, slot) order; this pins the
+    # floating-point sum.
+    slot_order = sorted(range(len(sampled)), key=lambda s: (int(sampled[s]), s))
+    x_tilde, delta = aggregate(run.state.x, [results[s].x_final for s in slot_order])
+
+    if cv_table is not None:
+        # Slot order: a client drawn twice keeps its last slot's variate.
+        for slot, res in enumerate(results):
+            cv_table[int(sampled[slot])] = res.new_control_variate
+
+    run.state = server_step(run.state, delta, run.server, x_tilde=x_tilde)
+
+    if want_row:
+        wall = (time.perf_counter() - t_start) * 1e3 if cfg.record_walltime else 0.0
+        run.metrics.append(
+            RoundMetrics(
+                t=t,
+                train_loss=train_loss,
+                test_acc=test_acc,
+                grad_norm_sq=grad_norm_sq,
+                sigma_g=sigma_g,
+                gamma=run.local.gamma,
+                eta=run.server.eta,
+                clients=[int(c) for c in sampled],
+                wall_ms=wall,
+            )
+        )
+    run.t = t + 1
+    run.overflowed = overflowed_array(run.state)
+    if run.overflowed is not None:
+        run.diverged, run.divergence_round = True, run.t
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """`start`, then `advance` until round T or divergence; a run that did
+    not diverge appends its final iterate."""
+    run = start(cfg)
+    while run.t < cfg.rounds and not run.diverged:
+        advance(cfg, run)
+    if run.iterates is not None and not run.diverged:
+        run.iterates.append(run.state.x.copy())
+    return run
