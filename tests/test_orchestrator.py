@@ -1,4 +1,7 @@
-"""Round-loop behavior: determinism, recovery maps, schedules, divergence."""
+"""Round-loop behavior: determinism, recovery maps, schedules, divergence,
+and the run as a resumable state."""
+
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -608,6 +611,122 @@ class TestDivergence:
         result = run_experiment(parse_config(obj))
         assert result.diverged and result.divergence_round == stop
         assert [row.t for row in result.metrics] == logged
+
+
+def logistic_problem(N=3, seed=0):
+    """N blob shards of a 3-class logistic task, with a test set."""
+    data = make_blobs_dataset(8 * N, 3, 3, RngStream(seed))
+    shards = [ClientShard(data.subset(np.arange(i, data.n, N)), 1 / N) for i in range(N)]
+    test = make_blobs_dataset(12, 3, 3, RngStream(seed + 1))
+    return FederatedProblem([LogisticRegressionTask(3, 3)] * N, shards, test_data=test)
+
+
+def resumed_from_a_copy(cfg, cut):
+    """`run_experiment`'s rounds, cut after `cut` of them (or at divergence):
+    the run is deep-copied there, the original is finished first, and the
+    copy is then finished on its own."""
+    run = orch.start(cfg)
+    while run.t < cut and not run.diverged:
+        orch.advance(cfg, run)
+    copy = deepcopy(run)
+    for r in (run, copy):
+        while r.t < cfg.rounds and not r.diverged:
+            orch.advance(cfg, r)
+        if r.iterates is not None and not r.diverged:
+            r.iterates.append(r.state.x.copy())
+    return copy
+
+
+def assert_same_run(a, b):
+    assert metrics_to_csv(a.metrics) == metrics_to_csv(b.metrics)
+    assert (a.t, a.diverged, a.divergence_round, a.overflowed) == (b.t, b.diverged, b.divergence_round, b.overflowed)
+    assert (a.local, a.server) == (b.local, b.server)
+    for name in ("x", "m", "v"):
+        np.testing.assert_array_equal(getattr(a.state, name), getattr(b.state, name))
+    for name in ("drift", "control_variates"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert (a.iterates is None) == (b.iterates is None)
+    np.testing.assert_array_equal(np.array(a.iterates or []), np.array(b.iterates or []))
+
+
+schedules = st.sampled_from(
+    [
+        ScheduleSpec(),
+        ScheduleSpec(kind="multistage", fractions=(0.3, 0.6), decay=0.5),
+        ScheduleSpec(kind="plateau", patience=1, factor=0.5),
+        # a second decay underflows, so the stepsize keeps its last value
+        ScheduleSpec(kind="multistage", fractions=(0.25, 0.5), decay=1e-200),
+        ScheduleSpec(kind="plateau", patience=1, factor=1e-200),
+    ]
+)
+
+
+class TestRunState:
+    """The run is its whole state: a deep copy taken between any two rounds
+    finishes with the bits of the run that was never cut."""
+
+    @quiet_overflow
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["quadratic", "logistic"]),
+        N=st.integers(1, 4),
+        variant=st.sampled_from(["sgd", "prox", "scaffold"]),
+        mode=st.sampled_from(["weighted", "full"]),
+        S=st.integers(1, 4),
+        gamma=st.sampled_from([0.02, 0.2, 5.0]),
+        server=st.sampled_from(["FedAvg", "FedMomentum", "s-FedAdam", "FedAMSGrad", "FedYogi"]),
+        gamma_schedule=schedules,
+        eta_schedule=schedules,
+        eval_every=st.integers(1, 4),
+        record=st.booleans(),
+        T=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_a_deep_copy_resumes_bit_for_bit(
+        self, kind, N, variant, mode, S, gamma, server, gamma_schedule, eta_schedule, eval_every, record, T, data
+    ):
+        problem = quadratic_problem(N=N) if kind == "quadratic" else logistic_problem(N=N)
+        cfg = config(
+            problem,
+            local=LocalConfig(K=3, gamma=gamma, batch_size=5, variant=variant, prox_mu=0.1),
+            sampling=SamplingSpec(S=N if mode == "full" else S, mode=mode),
+            server=named_optimizer(server, eta=1.0 if server == "FedAvg" else 0.1),
+            rounds=T,
+            gamma_schedule=gamma_schedule,
+            eta_schedule=eta_schedule,
+            eval_every=eval_every,
+            record_iterates=record,
+            record_drift=record,
+        )
+        cut = data.draw(st.integers(0, T), label="cut")
+        assert_same_run(resumed_from_a_copy(cfg, cut), run_experiment(cfg))
+
+    @quiet_overflow
+    @pytest.mark.parametrize(
+        "gamma, every, stop",
+        [(5.0, 1, 2), (5.0, 4, 4), (1e120, 1, 1)],
+        ids=["cap-every-round", "cap-every-4th", "overflow"],
+    )
+    def test_an_explosive_run_resumes_from_a_cut_on_either_side_of_its_divergence(self, gamma, every, stop):
+        cfg = config(
+            quadratic_problem(),
+            local=LocalConfig(K=5, gamma=gamma, batch_size=6),
+            server=named_optimizer("FedAvg", eta=1.0),
+            sampling=SamplingSpec(S=3),
+            rounds=8,
+            eval_every=every,
+            record_iterates=True,
+        )
+        straight = run_experiment(cfg)
+        assert straight.diverged and straight.divergence_round == stop
+        for cut in range(cfg.rounds + 1):
+            assert_same_run(resumed_from_a_copy(cfg, cut), straight)
+
+    def test_an_ended_run_takes_no_more_rounds(self):
+        cfg = config(quadratic_problem(), rounds=2)
+        run = run_experiment(cfg)
+        with pytest.raises(ParameterError, match="round 2 of 2"):
+            orch.advance(cfg, run)
 
 
 class TestProblemValidation:
