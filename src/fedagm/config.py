@@ -206,7 +206,7 @@ def parse_local(section: dict, path: str) -> LocalConfig:
     return _wrap(
         path,
         LocalConfig,
-        K=_get_int(section, "steps", path),
+        K=_get_int(section, "steps", path, minimum=1),
         gamma=float(_get_number(section, "gamma", path)),
         batch_size=_get_int(section, "batch_size", path),
         variant=_get_str(section, "variant", path, default="sgd"),
@@ -219,7 +219,7 @@ def parse_sampling(section: dict, path: str) -> SamplingSpec:
     return _wrap(
         path,
         SamplingSpec,
-        S=_get_int(section, "clients_per_round", path),
+        S=_get_int(section, "clients_per_round", path, minimum=1),
         mode=_get_str(section, "mode", path, default="weighted"),
     )
 
@@ -230,7 +230,7 @@ def parse_partition(section: dict, path: str) -> PartitionSpec:
         path,
         PartitionSpec,
         scheme=_get_str(section, "scheme", path),
-        N=_get_int(section, "num_clients", path),
+        N=_get_int(section, "num_clients", path, minimum=1),
         alpha=_get_optional(_get_number, section, "alpha", path),
         classes_per_client=_get_optional(_get_int, section, "classes_per_client", path),
         balance=_get_str(section, "balance", path, default="equal"),

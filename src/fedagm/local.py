@@ -84,15 +84,17 @@ class LocalConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ParameterError(
+                f"variant must be one of {VARIANTS}, got {self.variant!r}", key="variant"
+            )
         if self.K < 1:
             raise ParameterError("K must be >= 1")
         if not 0 < self.gamma < math.inf:
-            raise ParameterError("gamma must be finite and > 0")
+            raise ParameterError("gamma must be finite and > 0", key="gamma")
         if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
+            raise ParameterError("batch_size must be >= 1", key="batch_size")
         if not 0 <= self.prox_mu < math.inf:
-            raise ParameterError("prox_mu must be finite and >= 0")
+            raise ParameterError("prox_mu must be finite and >= 0", key="prox_mu")
 
 
 @dataclass

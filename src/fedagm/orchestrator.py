@@ -81,13 +81,16 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ParameterError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not 0 < self.decay <= 1 or not 0 < self.factor <= 1:
-            raise ParameterError("decay and factor must lie in (0, 1]")
+            raise ParameterError(
+                f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}", key="kind"
+            )
+        for key in ("decay", "factor"):
+            if not 0 < getattr(self, key) <= 1:
+                raise ParameterError(f"{key} must lie in (0, 1]", key=key)
         if any(not 0 < f < 1 for f in self.fractions):
-            raise ParameterError("schedule fractions must lie in (0, 1)")
+            raise ParameterError("schedule fractions must lie in (0, 1)", key="fractions")
         if self.patience < 1:
-            raise ParameterError("patience must be >= 1")
+            raise ParameterError("patience must be >= 1", key="patience")
 
 
 def apply_schedule(schedule: ScheduleSpec, t: int, T: int, plateau_decays: int = 0) -> float:

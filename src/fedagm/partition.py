@@ -48,21 +48,27 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ParameterError(
+                f"scheme must be one of {SCHEMES}, got {self.scheme!r}", key="scheme"
+            )
         if self.balance not in BALANCES:
-            raise ParameterError(f"balance must be one of {BALANCES}, got {self.balance!r}")
+            raise ParameterError(
+                f"balance must be one of {BALANCES}, got {self.balance!r}", key="balance"
+            )
         if self.N < 1:
             raise ParameterError("N must be >= 1")
         if self.scheme == "dirichlet":
             if self.alpha is None or not 0 < self.alpha < np.inf:
-                raise ParameterError("dirichlet scheme needs a finite alpha > 0")
+                raise ParameterError("dirichlet scheme needs a finite alpha > 0", key="alpha")
         if self.scheme == "sort":
             if self.classes_per_client is None or self.classes_per_client < 1:
-                raise ParameterError("sort scheme needs classes_per_client >= 1")
+                raise ParameterError(
+                    "sort scheme needs classes_per_client >= 1", key="classes_per_client"
+                )
         if self.class_groups is not None:
             self.class_groups = np.asarray(self.class_groups, dtype=np.int64)
             if np.any(self.class_groups < 0):
-                raise ParameterError("class_groups must hold group ids >= 0")
+                raise ParameterError("class_groups must hold group ids >= 0", key="class_groups")
             self.class_groups = np.unique(self.class_groups, return_inverse=True)[1]
 
 

@@ -42,7 +42,7 @@ class SamplingSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}", key="mode")
         if self.S < 1:
             raise ParameterError("S must be >= 1")
 

@@ -53,13 +53,15 @@ class Calibration:
 
     def __post_init__(self):
         if self.scheme not in CALIBRATION_SCHEMES:
-            raise ParameterError(f"scheme must be one of {CALIBRATION_SCHEMES}, got {self.scheme!r}")
+            raise ParameterError(
+                f"scheme must be one of {CALIBRATION_SCHEMES}, got {self.scheme!r}", key="scheme"
+            )
         if self.scheme in ("epsilon", "power") and not 0 < self.eps < np.inf:
-            raise ParameterError("eps must be finite and > 0")
+            raise ParameterError("eps must be finite and > 0", key="eps")
         if self.scheme == "power" and not 0 < self.p <= 0.5:
-            raise ParameterError("power exponent must lie in (0, 1/2]")
+            raise ParameterError("power exponent must lie in (0, 1/2]", key="p")
         if self.scheme == "softplus" and not 0 < self.beta < np.inf:
-            raise ParameterError("softplus beta must be finite and > 0")
+            raise ParameterError("softplus beta must be finite and > 0", key="beta")
         # the stepsize band's top, 1/calibrate(0), is set by eps (beta for
         # softplus): a tiny eps overflows the quotient to inf, and a tiny beta
         # overflows calibrate(0) = log(2)/beta to inf, so the quotient is 0
@@ -89,18 +91,21 @@ class ServerOptimizer:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}", key="kind")
         if not 0 < self.eta < np.inf:
             raise ParameterError("eta must be finite and > 0", key="eta")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("beta1 and beta2 must lie in [0, 1)")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ParameterError(f"{key} must lie in [0, 1)", key=key)
         if self.kind in ("avg", "momentum"):
             if self.calibration.scheme != "identity":
-                raise ParameterError(f"{self.kind} kind requires the identity calibration")
+                raise ParameterError(
+                    f"{self.kind} kind requires the identity calibration", key="calibration"
+                )
             if self.beta2 != 0.0:
-                raise ParameterError(f"{self.kind} kind does not use beta2; set it to 0")
+                raise ParameterError(f"{self.kind} kind does not use beta2; set it to 0", key="beta2")
         if self.kind == "avg" and self.beta1 != 0.0:
-            raise ParameterError("avg kind requires beta1 = 0")
+            raise ParameterError("avg kind requires beta1 = 0", key="beta1")
 
 
 @dataclass
@@ -226,7 +231,7 @@ _NAMED = {
 def named_optimizer(name: str, eta: float, **overrides) -> ServerOptimizer:
     """Construct the usual baselines by name; a convenience for grids."""
     if name not in _NAMED:
-        raise ParameterError(f"unknown optimizer name {name!r}; known: {sorted(_NAMED)}")
+        raise ParameterError(f"unknown optimizer name {name!r}; known: {sorted(_NAMED)}", key="name")
     params = dict(_NAMED[name])
     params.update(overrides)
     return ServerOptimizer(eta=eta, **params)

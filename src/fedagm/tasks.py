@@ -633,7 +633,7 @@ def make_synthetic_federated_quadratic(
         raise ParameterError("heterogeneity must be >= 0")
     lo, hi = curvature_range
     if not 0 < lo <= hi:
-        raise ParameterError("curvature_range must satisfy 0 < lo <= hi")
+        raise ParameterError("curvature_range must satisfy 0 < lo <= hi", key="curvature_range")
     gen = as_generator(rng)
     centers = heterogeneity * gen.standard_normal((N, d))
     curvatures = gen.uniform(lo, hi, (N, d))
@@ -647,7 +647,7 @@ def make_synthetic_federated_quadratic(
 
         p = sample_dirichlet(gen, weights_alpha, N)
     else:
-        raise ParameterError(f"unknown weights mode {weights!r}")
+        raise ParameterError(f"unknown weights mode {weights!r}", key="weights")
     return tasks, p
 
 

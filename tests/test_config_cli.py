@@ -371,7 +371,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, logistic_config(class_groups=[-1, 0, 1, 1]))
         assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: partition: ")
+        assert err.startswith("config error: partition.class_groups: ")
         assert "class_groups" in err
         assert not out.exists()
 
@@ -620,6 +620,50 @@ def test_integer_beyond_int64_is_a_config_error_naming_its_path(tmp_path, capsys
     assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {where}: expected an integer in int64 range, got ")
+    assert not out.exists()
+
+
+OUT_OF_RANGE = [
+    (quad_with("local", variant="sgdx"), "local.variant"),
+    (quad_with("local", gamma=0), "local.gamma"),
+    (quad_with("local", batch_size=0), "local.batch_size"),
+    (quad_with("local", prox_mu=-1), "local.prox_mu"),
+    (quad_with("local", steps=0), "local.steps"),
+    (quad_with("sampling", mode="all"), "sampling.mode"),
+    (quad_with("sampling", clients_per_round=0), "sampling.clients_per_round"),
+    (quad_config(server={"kind": "adamw", "eta": 0.1}), "server.kind"),
+    (quad_config(server={"name": "FedFoo", "eta": 0.1}), "server.name"),
+    (quad_config(server={"kind": "avg", "eta": 1.0, "calibration": {"scheme": "epsilon"}}), "server.calibration"),
+    (quad_config(server={"kind": "momentum", "eta": 1.0, "beta2": 0.5}), "server.beta2"),
+    (quad_config(server={"kind": "avg", "eta": 1.0, "beta1": 0.5}), "server.beta1"),
+    (quad_config(server={"kind": "adam", "eta": 0.1, "beta1": 1.5}), "server.beta1"),
+    (quad_config(server={"kind": "adam", "eta": 0.1, "beta2": 1.0}), "server.beta2"),
+    (quad_with("server", calibration={"scheme": "cubic"}), "server.calibration.scheme"),
+    (quad_with("server", calibration={"scheme": "epsilon", "eps": 0}), "server.calibration.eps"),
+    (quad_with("server", calibration={"scheme": "power", "p": 0.75}), "server.calibration.p"),
+    (quad_with("server", calibration={"scheme": "softplus", "beta": 0}), "server.calibration.beta"),
+    (quad_with("schedules", gamma={"kind": "cosine"}), "schedules.gamma.kind"),
+    (quad_with("schedules", gamma={"kind": "multistage", "decay": 0}), "schedules.gamma.decay"),
+    (quad_with("schedules", eta={"kind": "plateau", "factor": 1.5}), "schedules.eta.factor"),
+    (quad_with("schedules", eta={"kind": "multistage", "fractions": [0.5, 1.5]}), "schedules.eta.fractions"),
+    (quad_with("schedules", gamma={"kind": "plateau", "patience": 0}), "schedules.gamma.patience"),
+    (logistic_config(scheme="stripes"), "partition.scheme"),
+    (logistic_config(balance="skewed"), "partition.balance"),
+    (logistic_config(alpha=0), "partition.alpha"),
+    (logistic_config(scheme="sort", classes_per_client=0), "partition.classes_per_client"),
+    (logistic_config(class_groups=[-1, 0, 1, 1]), "partition.class_groups"),
+    (logistic_config(num_clients=0), "partition.num_clients"),
+    (quad_with("task", curvature_range=[2, 1]), "task.curvature_range"),
+    (quad_with("task", weights="x"), "task.weights"),
+]
+
+
+@pytest.mark.parametrize("obj, where", OUT_OF_RANGE, ids=[f"{i}-{where}" for i, (_, where) in enumerate(OUT_OF_RANGE)])
+def test_value_out_of_range_is_a_config_error_naming_its_key(tmp_path, capsys, obj, where):
+    # each used to name only its section, or a field name that is not its key
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {where}: ")
     assert not out.exists()
 
 
