@@ -1,5 +1,12 @@
-"""The round loop: sample clients, run inner loops from the broadcast
-point, average, take the server step, advance schedules, record metrics.
+"""The round loop as a step on a state value. `start(cfg)` gives the run
+at round 0; `advance(cfg, run)` takes round `run.t` in place: evaluate,
+advance the schedules, sample clients, run inner loops from the broadcast
+point, average, take the server step, record metrics. `run_experiment`
+advances until round T or divergence. The run, an `ExperimentResult`,
+carries all a round reads besides the config: its round index, server
+state, SCAFFOLD table, plateau trackers, logs, divergence flags, and the
+`local`/`server` configs with the scheduled stepsizes, which a round
+rebuilds only when its gamma or eta changes.
 
 Determinism contract: with a fixed seed the metric log is bit-identical
 from run to run. Three mechanisms carry that guarantee: every (round,
