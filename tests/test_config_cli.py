@@ -633,7 +633,10 @@ OUT_OF_RANGE = [
     (quad_with("sampling", clients_per_round=0), "sampling.clients_per_round"),
     (quad_config(server={"kind": "adamw", "eta": 0.1}), "server.kind"),
     (quad_config(server={"name": "FedFoo", "eta": 0.1}), "server.name"),
-    (quad_config(server={"kind": "avg", "eta": 1.0, "calibration": {"scheme": "epsilon"}}), "server.calibration"),
+    (
+        quad_config(server={"kind": "avg", "eta": 1.0, "calibration": {"scheme": "epsilon"}}),
+        "server.calibration",
+    ),
     (quad_config(server={"kind": "momentum", "eta": 1.0, "beta2": 0.5}), "server.beta2"),
     (quad_config(server={"kind": "avg", "eta": 1.0, "beta1": 0.5}), "server.beta1"),
     (quad_config(server={"kind": "adam", "eta": 0.1, "beta1": 1.5}), "server.beta1"),
@@ -658,7 +661,9 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("obj, where", OUT_OF_RANGE, ids=[f"{i}-{where}" for i, (_, where) in enumerate(OUT_OF_RANGE)])
+@pytest.mark.parametrize(
+    "obj, where", OUT_OF_RANGE, ids=[f"{i}-{where}" for i, (_, where) in enumerate(OUT_OF_RANGE)]
+)
 def test_value_out_of_range_is_a_config_error_naming_its_key(tmp_path, capsys, obj, where):
     # each used to name only its section, or a field name that is not its key
     out = tmp_path / "out"

@@ -639,8 +639,8 @@ def resumed_from_a_copy(cfg, cut):
 
 def assert_same_run(a, b):
     assert metrics_to_csv(a.metrics) == metrics_to_csv(b.metrics)
-    assert (a.t, a.diverged, a.divergence_round, a.overflowed) == (b.t, b.diverged, b.divergence_round, b.overflowed)
-    assert (a.local, a.server) == (b.local, b.server)
+    for name in ("t", "diverged", "divergence_round", "overflowed", "local", "server"):
+        assert getattr(a, name) == getattr(b, name), name
     for name in ("x", "m", "v"):
         np.testing.assert_array_equal(getattr(a.state, name), getattr(b.state, name))
     for name in ("drift", "control_variates"):
@@ -683,7 +683,8 @@ class TestRunState:
         data=st.data(),
     )
     def test_a_deep_copy_resumes_bit_for_bit(
-        self, kind, N, variant, mode, S, gamma, server, gamma_schedule, eta_schedule, eval_every, record, T, data
+        self, kind, N, variant, mode, S, gamma, server, gamma_schedule, eta_schedule, eval_every,
+        record, T, data,
     ):
         problem = quadratic_problem(N=N) if kind == "quadratic" else logistic_problem(N=N)
         cfg = config(
