@@ -160,12 +160,12 @@ def load_json_file(path: str):
 
 def _wrap(path: str, builder, *args, **kwargs):
     """Run a dataclass constructor, re-labelling its errors with the JSON path
-    (of the key, when the error names one)."""
+    (of the key, when the error names one). At the root, path "", an error
+    reads `config`, or the path of the key it names."""
     try:
         return builder(*args, **kwargs)
     except FedAgmError as exc:
-        key = getattr(exc, "key", None)
-        raise ConfigError(f"{path if key is None else f'{path}.{key}'}: {exc}") from exc
+        raise ConfigError(f"{'.'.join(filter(None, (path, exc.key))) or 'config'}: {exc}") from exc
 
 
 def parse_calibration(section: dict, path: str) -> Calibration:
@@ -336,7 +336,7 @@ def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
     if "eta" in schedules:
         eta_sched = parse_schedule(_get_section(schedules, "eta", "schedules"), "schedules.eta")
     return _wrap(
-        "config",
+        "",
         ExperimentConfig,
         problem=problem,
         local=parse_local(_get_section(obj, "local", "config"), "local"),

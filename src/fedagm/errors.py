@@ -2,7 +2,12 @@
 
 
 class FedAgmError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; `key` names the
+    field at fault when the message alone does not."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class StructuralError(FedAgmError, ValueError):
@@ -14,12 +19,7 @@ class NumericError(FedAgmError, ArithmeticError):
 
 
 class ParameterError(FedAgmError, ValueError):
-    """Hyperparameter outside its admissible range; `key` names the field at
-    fault when the message alone does not."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    """Hyperparameter outside its admissible range."""
 
 
 class ConfigError(FedAgmError, ValueError):

@@ -20,11 +20,12 @@ separate lockstep groups. `run_local` is the one-slot call.
 
 A group whose (slots, d) arrays span more than one row block
 (`tasks.row_blocks`) is split at block boundaries into at most W parts of
-consecutive slots, each stepped on its own thread (`run_parts`): the
+consecutive slots, each stepped on its own thread (`tasks.run_parts`): the
 matmuls and large ufuncs release the GIL. W is the CPUs this process may
-run on divided by the BLAS threads (`worker_count`), so the parts take only
-the cores BLAS leaves idle. The split moves no bit: the parts own disjoint
-rows, and the stacked kernels give each slot the bits it gets alone.
+run on divided by the BLAS threads (`tasks.worker_count`), so the parts take
+only the cores BLAS leaves idle. The split moves no bit: the parts own
+disjoint rows, and the stacked kernels give each slot the bits it gets
+alone.
 
 The slots' streams come as one `StreamBatch`, a root stream plus key
 arrays, which costs no hashing until a group draws from it. A group whose
@@ -47,11 +48,7 @@ loop owns the SCAFFOLD state.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +59,13 @@ from .partition import ClientShard
 
 # stochastic_gradient is not called here; it stays bound in this module for
 # code that wraps this module's names.
-from .tasks import StackedFederation, Task, row_blocks, stochastic_gradient  # noqa: F401
+from .tasks import (  # noqa: F401
+    StackedFederation,
+    Task,
+    row_blocks,
+    run_parts,
+    stochastic_gradient,
+)
 
 VARIANTS = ("sgd", "prox", "scaffold")
 
@@ -198,71 +201,6 @@ def draw_minibatches(streams: StreamBatch, sizes, batch: int, steps: int) -> np.
         n = int(sizes[s])
         draws[s] = [gen.choice(n, size=batch, replace=False) for _ in range(steps)]
     return draws
-
-
-# ---------------------------------------------------------------------------
-# Parts of a wide group on the cores BLAS leaves idle
-
-
-def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS NumPy loaded, read through ctypes
-    from the copy its wheel ships in `numpy.libs`; None if it cannot be read."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        try:
-            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        count = get()
-        return count if count >= 1 else None
-    return None
-
-
-@functools.cache
-def worker_count() -> int:
-    """W, the most parts a lockstep group is split into: the CPUs this
-    process may run on divided by the BLAS threads, so the parts take only
-    the cores BLAS leaves idle; 1 if the BLAS count cannot be read."""
-    blas = blas_threads()
-    return max(1, len(os.sched_getaffinity(0)) // blas) if blas else 1
-
-
-@functools.cache
-def _pool(threads: int):
-    # imported on the first split: concurrent.futures loads logging, which
-    # would add 0.7 MB to the peak RSS of every run that never splits
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads, thread_name_prefix="fedagm-part")
-
-
-def run_parts(step, blocks: list[slice]) -> None:
-    """Call step(part) on every part of `blocks`, cut into at most W runs of
-    consecutive row blocks: the caller takes the first part and pool threads
-    the others, at the same time. A group of one block makes one part and
-    starts no thread.
-
-    The parts touch disjoint rows, and the stacked kernels give each slot
-    the bits it gets alone, so the split moves no bit. The pool's threads
-    start on the first split; idle, they are joined when the interpreter
-    exits.
-    """
-    n = min(worker_count(), len(blocks)) if len(blocks) > 1 else 1
-    if n == 1:
-        step(blocks)
-        return
-    bounds = [len(blocks) * i // n for i in range(n + 1)]
-    parts = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_pool(n - 1).submit(step, part) for part in parts[1:]]
-    try:
-        step(parts[0])
-    finally:
-        # no error leaves while a part still writes the group's arrays
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
 
 
 def run_clients(

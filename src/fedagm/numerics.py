@@ -263,7 +263,7 @@ def sample_dirichlet(rng: RngStream | np.random.Generator, alpha: float, dim: in
     zero in theory, ~never in practice) event that all of them do.
     """
     if alpha <= 0:
-        raise ParameterError(f"dirichlet concentration must be positive, got {alpha}")
+        raise ParameterError(f"dirichlet concentration must be positive, got {alpha}", key="alpha")
     if dim < 1:
         raise ParameterError(f"dirichlet dimension must be >= 1, got {dim}")
     if dim == 1:
@@ -274,4 +274,4 @@ def sample_dirichlet(rng: RngStream | np.random.Generator, alpha: float, dim: in
         total = draws.sum()
         if np.isfinite(total) and total > 0.0:
             return draws / total
-    raise NumericError("dirichlet sampling failed: all gamma draws underflowed")
+    raise NumericError("dirichlet sampling failed: all gamma draws underflowed", key="alpha")

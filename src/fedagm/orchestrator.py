@@ -218,8 +218,9 @@ class ExperimentConfig:
             raise ParameterError("eval_every must be >= 1")
         if self.sampling.mode == "full" and self.sampling.S != self.problem.N:
             raise ParameterError(
-                f"full sampling needs sampling.clients_per_round = N = {self.problem.N}, "
-                f"got {self.sampling.S}"
+                f"full sampling needs clients_per_round = N = {self.problem.N}, "
+                f"got {self.sampling.S}",
+                key="sampling.clients_per_round",
             )
         if self.record_drift and self.local.epoch_mode:
             # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
@@ -308,9 +309,10 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
 
     A server step that leaves the iterate x, or its momentum m or v,
     non-finite in round t marks the run diverged at round t + 1 and names
-    that array, and a training loss above `DIVERGENCE_LOSS_CAP` in round t
-    marks it diverged at round t; either ends the run, and the log then
-    ends at the last logged round. The server state is checked every round.
+    that array, and a training loss above `DIVERGENCE_LOSS_CAP`, or a
+    gradient norm or dissimilarity that overflows, in round t marks it
+    diverged at round t; either ends the run, and the log then ends at the
+    last logged round. The server state is checked every round.
     The loss is computed, and so the cap checked, only on evaluated rounds
     (every `eval_every`-th and the last), or on every round when a plateau
     schedule is in use, so a run can take up to `eval_every - 1` more
@@ -338,6 +340,17 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
         run.gamma_tracker.update(train_loss)
         run.eta_tracker.update(train_loss)
 
+    grad_norm_sq, sigma_g, test_acc = np.nan, np.nan, 0.0
+    if want_row:
+        mean, sigma_g = weighted_dissimilarity(grads, p)
+        grad_norm_sq = l2_norm_sq(mean)
+        # free the (N, d) stack, and its mean, before the clients train
+        del grads, mean
+        if not (np.isfinite(grad_norm_sq) and np.isfinite(sigma_g)):
+            run.diverged, run.divergence_round = True, t
+            return
+        _, test_acc = prob.test_metrics(run.state.x)
+
     # A product that underflows to 0 keeps the last positive stepsize, and
     # a config is rebuilt only when its stepsize changes.
     gamma = cfg.local.gamma * apply_schedule(cfg.gamma_schedule, t, T, run.gamma_tracker.decays)
@@ -347,13 +360,6 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
     if eta and eta != run.server.eta:
         run.server = replace(run.server, eta=eta)
 
-    grad_norm_sq, sigma_g, test_acc = np.nan, np.nan, 0.0
-    if want_row:
-        mean, sigma_g = weighted_dissimilarity(grads, p)
-        grad_norm_sq = l2_norm_sq(mean)
-        # free the (N, d) stack, and its mean, before the clients train
-        del grads, mean
-        _, test_acc = prob.test_metrics(run.state.x)
     if run.iterates is not None:
         run.iterates.append(run.state.x.copy())
 

@@ -111,7 +111,8 @@ def _client_class_probs(spec: PartitionSpec, num_classes: int, gen) -> np.ndarra
     groups = spec.class_groups
     if groups.size != num_classes:
         raise StructuralError(
-            f"class_groups has {groups.size} entries, dataset has {num_classes} classes"
+            f"class_groups has {groups.size} entries, dataset has {num_classes} classes",
+            key="class_groups",
         )
     sizes = np.bincount(groups)
     q_group = sample_dirichlet(gen, spec.alpha, sizes.size)
@@ -163,7 +164,10 @@ def _partition_sort(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     counts = np.bincount(data.labels, minlength=data.num_classes)
     slots_per_class = _largest_remainder(counts.astype(np.float64), total_slots)
     if np.any(slots_per_class > counts):
-        raise StructuralError("more slots than samples in some class; lower N or classes_per_client")
+        raise StructuralError(
+            "more slots than samples in some class; lower num_clients or classes_per_client",
+            key="classes_per_client",
+        )
 
     order = np.argsort(data.labels, kind="stable")
     slots: list[np.ndarray] = []
@@ -191,9 +195,13 @@ def partition(
 ) -> list[ClientShard]:
     """Cut `data` into N disjoint shards as directed by `spec`."""
     if spec.N > data.n:
-        raise StructuralError(f"cannot split {data.n} samples across {spec.N} clients")
+        raise StructuralError(
+            f"cannot split {data.n} samples across {spec.N} clients", key="num_clients"
+        )
     if spec.scheme == "sort" and spec.classes_per_client > data.num_classes:
-        raise ParameterError("classes_per_client exceeds the number of classes")
+        raise ParameterError(
+            "classes_per_client exceeds the number of classes", key="classes_per_client"
+        )
     gen = as_generator(rng)
     if spec.scheme == "dirichlet":
         index_sets = _partition_dirichlet(data, spec, gen)

@@ -16,6 +16,10 @@ directly comparable.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -402,6 +406,85 @@ def row_blocks(rows: int, d: int) -> list[slice]:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def is_wide(d: int) -> bool:
+    """Whether one row of d float64s fills more than half of BLOCK_BYTES, so
+    that `row_blocks` gives each row a block of its own. The evaluation
+    pass, the dissimilarity's gaps and the noise probe split their blocks
+    over W parts only for such a model: a narrower one's blocks are few
+    and small, and threads would only add their cost."""
+    return 16 * d > BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Parts of a row-blocked sweep on the cores BLAS leaves idle
+
+
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS NumPy loaded, read through ctypes
+    from the copy its wheel ships in `numpy.libs`; None if it cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        count = get()
+        return count if count >= 1 else None
+    return None
+
+
+@functools.cache
+def worker_count() -> int:
+    """W, the most parts a sweep is split into: the CPUs this process may
+    run on divided by the BLAS threads, so the parts take only the cores
+    BLAS leaves idle; 1 if the BLAS count cannot be read."""
+    blas = blas_threads()
+    return max(1, len(os.sched_getaffinity(0)) // blas) if blas else 1
+
+
+@functools.cache
+def _pool(threads: int):
+    # imported on the first split: concurrent.futures loads logging, which
+    # would add 0.7 MB to the peak RSS of every run that never splits
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="fedagm-part")
+
+
+def run_parts(step, blocks: list, rows=None, split: bool = True) -> None:
+    """Call step(part) on every part of `blocks`, cut into at most W runs of
+    consecutive blocks that carry about equal rows: the caller takes the
+    first part and pool threads the others, at the same time. Block j
+    carries `rows[j]` rows, or, for a slice, its length; equal blocks are
+    cut by count. With one block, or split False, step(blocks) runs on the
+    calling thread and no thread starts.
+
+    The parts must touch disjoint rows of the sweep's outputs, each through
+    scratch of its own; the stacked kernels give each row the bits it gets
+    alone, so the split moves no bit. The pool's threads start on the first
+    split; idle, they are joined when the interpreter exits.
+    """
+    n = min(worker_count(), len(blocks)) if split and len(blocks) > 1 else 1
+    if n == 1:
+        step(blocks)
+        return
+    ends = np.cumsum([b.stop - b.start for b in blocks] if rows is None else rows)
+    # part i ends after the last block whose rows end within i/n of the total
+    cuts = np.searchsorted(ends * n, ends[-1] * np.arange(1, n), side="right")
+    bounds = [0, *sorted(set(np.clip(cuts, 1, len(blocks) - 1).tolist())), len(blocks)]
+    parts = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool(n - 1).submit(step, part) for part in parts[1:]]
+    try:
+        step(parts[0])
+    finally:
+        # no error leaves while a part still writes the sweep's arrays
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
+
+
 # ---------------------------------------------------------------------------
 # One stacked federation
 
@@ -487,11 +570,24 @@ class StackedFederation:
     @cached_property
     def eval_blocks(self) -> list[tuple]:
         """`client_evaluation`'s plan: the clients grouped by shard size,
-        ascending, each group cut into row blocks of clients (`row_blocks`
-        of d-wide rows, under the `BLOCK_BYTES` in force when first used).
-        Per block: the client ids ascending, views of their features
-        (S, n, p) and labels (S, n), and where the block's rows go in the
-        (N, ...) outputs (a slice for consecutive ids, else the ids)."""
+        ascending, each group cut into blocks of clients under the
+        `BLOCK_BYTES` in force when first used: `row_blocks` of d-wide
+        gradient rows, except in a wide model's (`is_wide`) groups of
+        consecutive ids. Those write their gradients straight into the
+        (N, d) output, so rather than one client each, their blocks hold
+        `row_blocks` of the kernel's activations, a row of max(hidden,
+        classes) float64s per data row (d per anchor row for quadratics).
+        Per block: the
+        client ids ascending, views of their features (S, n, p) and labels
+        (S, n), and where the block's rows go in the (N, ...) outputs (a
+        slice for consecutive ids, else the ids)."""
+        task, wide = self.task, is_wide(self.dim)
+        if isinstance(task, QuadraticTask):
+            width = task.dim
+        elif isinstance(task, MlpTask):
+            width = max(task.hidden, task.num_classes)
+        else:
+            width = task.num_classes
         order = np.argsort(self.sizes, kind="stable")
         plan = []
         for ci in np.split(order, np.flatnonzero(np.diff(self.sizes[order])) + 1):
@@ -500,7 +596,9 @@ class StackedFederation:
             rows = slice(lo, lo + ci.size * shape[1])
             feats = self.features[rows].reshape(*shape, -1)
             labels = self.labels[rows].reshape(shape)
-            for b in row_blocks(ci.size, self.dim):
+            consecutive = int(ci[-1]) - int(ci[0]) + 1 == ci.size
+            block_width = shape[1] * width if consecutive and wide else self.dim
+            for b in row_blocks(ci.size, block_width):
                 ids = ci[b]
                 lo, hi = int(ids[0]), int(ids[-1]) + 1
                 at = slice(lo, hi) if hi - lo == ids.size else ids
@@ -541,57 +639,74 @@ def client_evaluation(
     entry i equals evaluate(task_i, data_i, x)[0] and row i
     full_gradient(task_i, data_i, x), bit for bit.
 
-    One pass over `fed.eval_blocks`, the size groups' row blocks of clients,
+    One pass over `fed.eval_blocks`, the size groups' blocks of clients,
     through the stacked kernels; a data task takes a block's losses and
     gradients from one forward pass, and its weight decay is added while
     the block is in cache. A block of consecutive ids writes straight into
-    the outputs, any other goes through a block-sized buffer.
+    the outputs, any other goes through a buffer. A wide model (`is_wide`)
+    runs its blocks as up to W parts of about equal data rows on the cores
+    BLAS leaves idle (`run_parts`), each part with a buffer of its own; the
+    parts own disjoint clients, so the split moves no bit.
     """
     x = _check_dim(fed.task, x)
     losses = np.empty(fed.N)
     grads = np.empty((fed.N, x.size)) if gradients else None
     # the decay multiplies x once, not once per block
     decay = fed.task.weight_decay * x if gradients and fed.task.weight_decay else None
-    for ids, f, y, at in fed.eval_blocks:
-        xs = np.broadcast_to(x, (ids.size, x.size))
-        view = isinstance(at, slice)
-        if gradients:
-            g = grads[at] if view else np.empty(xs.shape)
-        if fed.curvature is not None:
-            curvature = fed.curvature[at, :, None]
-            dx = x - f
-            dz = f - fed.center[at, None]
-            sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
-            losses[at] = _mean_losses(sample)
+
+    def part(blocks: list[tuple]) -> None:
+        buffered = [ids.size for ids, _, _, at in blocks if not isinstance(at, slice)]
+        buffer = np.empty((max(buffered), x.size)) if gradients and buffered else None
+        for ids, f, y, at in blocks:
+            xs = np.broadcast_to(x, (ids.size, x.size))
+            view = isinstance(at, slice)
             if gradients:
-                _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
-        elif not gradients:
-            # negating before the sum is exact: rounding is symmetric in sign
-            sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
-            losses[at] = _mean_losses(sample)
-        else:
-            block_losses = np.empty(ids.size)
-            _kernel(fed.task)(fed.task, f, y, xs, g, block_losses)
-            losses[at] = block_losses
-        if gradients:
-            if decay is not None:
-                g += decay
-            if not view:
-                grads[at] = g
+                g = grads[at] if view else buffer[: ids.size]
+            if fed.curvature is not None:
+                curvature = fed.curvature[at, :, None]
+                dx = x - f
+                dz = f - fed.center[at, None]
+                sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
+                losses[at] = _mean_losses(sample)
+                if gradients:
+                    _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
+            elif not gradients:
+                # negating before the sum is exact: rounding is symmetric in sign
+                sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
+                losses[at] = _mean_losses(sample)
+            else:
+                block_losses = np.empty(ids.size)
+                _kernel(fed.task)(fed.task, f, y, xs, g, block_losses)
+                losses[at] = block_losses
+            if gradients:
+                if decay is not None:
+                    g += decay
+                if not view:
+                    grads[at] = g
+
+    plan = fed.eval_blocks
+    rows = [f.shape[0] * f.shape[1] for _, f, _, _ in plan]
+    run_parts(part, plan, rows, split=is_wide(x.size))
     return losses, grads
 
 
 def weighted_dissimilarity(grads: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
     """(p-weighted mean gradient, sum_i p_i ||grad_i - mean||^2) of an (N, d)
-    stack of client gradients; the gaps are formed one row block at a time."""
+    stack of client gradients; the gaps are formed one row block at a time,
+    and a wide model's blocks run as up to W parts (`run_parts`), each with
+    a scratch block of its own."""
     mean = p @ grads
     norms = np.empty(len(grads))
-    blocks = row_blocks(len(grads), grads.shape[1])
-    scratch = np.empty((blocks[0].stop, grads.shape[1]))
-    for b in blocks:
-        gaps = np.subtract(grads[b], mean, out=scratch[: b.stop - b.start])
-        gaps *= gaps
-        gaps.sum(axis=1, out=norms[b])
+    d = grads.shape[1]
+
+    def part(blocks: list[slice]) -> None:
+        scratch = np.empty((blocks[0].stop - blocks[0].start, d))
+        for b in blocks:
+            gaps = np.subtract(grads[b], mean, out=scratch[: b.stop - b.start])
+            gaps *= gaps
+            gaps.sum(axis=1, out=norms[b])
+
+    run_parts(part, row_blocks(len(grads), d), split=is_wide(d))
     return mean, float(inner(p, norms))
 
 
@@ -636,6 +751,8 @@ def make_synthetic_federated_quadratic(
         raise ParameterError("curvature_range must satisfy 0 < lo <= hi", key="curvature_range")
     gen = as_generator(rng)
     centers = heterogeneity * gen.standard_normal((N, d))
+    if not np.isfinite(centers).all():
+        raise ParameterError("heterogeneity overflows the client centers", key="heterogeneity")
     curvatures = gen.uniform(lo, hi, (N, d))
     tasks = [
         QuadraticTask(curvatures[i], centers[i], weight_decay=weight_decay) for i in range(N)
@@ -686,15 +803,18 @@ def quadratic_sigma_sq(task: QuadraticTask, data: Dataset, batch_size: int) -> f
 def make_quadratic_client_data(
     task: QuadraticTask,
     n: int,
-    noise_std: float,
+    anchor_noise: float,
     rng: RngStream | np.random.Generator,
 ) -> Dataset:
-    """n anchor points around the client optimum, recentred so their mean is c."""
+    """n anchor points around the client optimum, spread by anchor_noise
+    and recentred so their mean is c."""
     if n < 1:
         raise ParameterError("need n >= 1")
     gen = as_generator(rng)
-    raw = task.center + noise_std * gen.standard_normal((n, task.dim))
+    raw = task.center + anchor_noise * gen.standard_normal((n, task.dim))
     anchors = raw - raw.mean(axis=0) + task.center
+    if not np.isfinite(anchors).all():
+        raise ParameterError("anchor_noise overflows the anchor points", key="anchor_noise")
     return Dataset(anchors, np.zeros(n, dtype=np.int64), 1)
 
 

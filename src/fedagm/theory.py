@@ -23,9 +23,11 @@ from .tasks import (
     StackedFederation,
     Task,
     client_evaluation,
+    is_wide,
     quadratic_sigma_sq,
     quadratic_smoothness,
     row_blocks,
+    run_parts,
     weighted_dissimilarity,
 )
 
@@ -407,10 +409,13 @@ def _minibatch_noise(
     loop, all drawn at once by `draw_minibatches`. A client with no more than
     batch_size rows would take its full gradient, so its noise is 0 and costs
     no gradient call. Each `data_gradients` call stacks _NOISE_CHUNK draws
-    into one reused buffer, and the distances are swept over it a row block
-    at a time (`row_blocks`), so a wide model's chunk is not streamed through
-    memory once per op; the sweep adds the federation's weight decay, as the
-    inner loop's does.
+    into a reused chunk buffer, and the distances are swept over it a row
+    block at a time (`row_blocks`), so a wide model's chunk is not streamed
+    through memory once per op; the sweep adds the federation's weight
+    decay, as the inner loop's does. A wide model (`is_wide`) probes its
+    clients as up to W parts (`run_parts`), each with its own chunk buffer
+    and noise row; the parts own disjoint clients, so the split moves no
+    bit.
     """
     sampled = np.flatnonzero(fed.sizes > batch_size)
     sigma_sq = np.zeros(fed.N)
@@ -418,24 +423,30 @@ def _minibatch_noise(
         return sigma_sq
     picks = draw_minibatches(rng.derive_lanes(sampled), fed.sizes[sampled], batch_size, draws)
     xs = np.broadcast_to(x, (_NOISE_CHUNK, x.size))
-    chunk = np.empty(xs.shape)
-    noise = np.empty(draws)
     decay = fed.task.weight_decay * x if fed.task.weight_decay else None
-    for i, client_picks in zip(sampled, picks):
-        for lo in range(0, draws, _NOISE_CHUNK):
-            hi = min(lo + _NOISE_CHUNK, draws)
-            grads = fed.data_gradients(
-                np.full(hi - lo, i), xs[: hi - lo], client_picks[lo:hi], chunk[: hi - lo]
-            )
-            # in place, (g + decay - exact_i) ** 2 per draw; row sums give np.sum's bits
-            for b in row_blocks(hi - lo, x.size):
-                block = grads[b]
-                if decay is not None:
-                    block += decay
-                block -= exact[i]
-                block *= block
-                block.sum(axis=1, out=noise[lo:hi][b])
-        sigma_sq[i] = float(np.mean(noise))
+
+    def part(blocks: list[slice]) -> None:
+        chunk = np.empty(xs.shape)
+        noise = np.empty(draws)
+        for j in range(blocks[0].start, blocks[-1].stop):
+            i = sampled[j]
+            for lo in range(0, draws, _NOISE_CHUNK):
+                hi = min(lo + _NOISE_CHUNK, draws)
+                grads = fed.data_gradients(
+                    np.full(hi - lo, i), xs[: hi - lo], picks[j, lo:hi], chunk[: hi - lo]
+                )
+                # in place, (g + decay - exact_i) ** 2 per draw; row sums give np.sum's bits
+                for b in row_blocks(hi - lo, x.size):
+                    block = grads[b]
+                    if decay is not None:
+                        block += decay
+                    block -= exact[i]
+                    block *= block
+                    block.sum(axis=1, out=noise[lo:hi][b])
+            sigma_sq[i] = float(np.mean(noise))
+
+    clients = [slice(j, j + 1) for j in range(sampled.size)]
+    run_parts(part, clients, split=is_wide(x.size))
     return np.sqrt(sigma_sq)
 
 

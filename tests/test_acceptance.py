@@ -57,7 +57,6 @@ from fedagm import (
     verify_drift_bound,
     verify_lemma_second_moment,
 )
-from fedagm import local as local_module
 from fedagm import tasks as tasks_module
 from fedagm.cli import EXIT_OK, main
 from fedagm.orchestrator import TAG_LOCAL
@@ -511,12 +510,12 @@ def test_12_metric_files_are_bit_identical_for_any_thread_count(tmp_path, monkey
     cfg.write_text(json.dumps(obj))
 
     # Run a takes today's defaults. Runs b-d force W, the worker count of a
-    # lockstep group's split, to 1, 2 and 3, with one d = 4 row per block,
-    # so the 4 slots span 4 blocks.
+    # row-blocked sweep's split, to 1, 2 and 3, with one d = 4 row per block,
+    # so the 4 slots span 4 blocks and the evaluation pass splits too.
     outputs = []
     for tag, workers in (("a", None), ("b", 1), ("c", 2), ("d", 3)):
         if workers is not None:
-            monkeypatch.setattr(local_module, "worker_count", lambda w=workers: w)
+            monkeypatch.setattr(tasks_module, "worker_count", lambda w=workers: w)
             monkeypatch.setattr(tasks_module, "BLOCK_BYTES", 8 * 4)
         out = tmp_path / tag
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK

@@ -362,8 +362,8 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: config: ")
-        assert "sampling.clients_per_round = N = 5, got 3" in err
+        assert err.startswith("config error: sampling.clients_per_round: ")
+        assert "clients_per_round = N = 5, got 3" in err
         assert not out.exists()
 
     def test_negative_class_group_exits_1(self, tmp_path, capsys):
@@ -528,7 +528,7 @@ class TestRunCommand:
         obj = quad_with("task", **{key: 1e308})
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: task: ")
+        assert capsys.readouterr().err.startswith(f"config error: task.{key}: ")
         assert not out.exists()
 
     @quiet_overflow
@@ -1087,7 +1087,7 @@ class TestPartitionReportCommand:
 
     def test_partition_failure_names_the_partition_section(self, tmp_path, capsys):
         obj = self.REPORT | {"partition": {"scheme": "uniform", "num_clients": 500}, "out": str(tmp_path / "parts")}
-        self.check_config_error(tmp_path, capsys, obj, "config error: partition: ")
+        self.check_config_error(tmp_path, capsys, obj, "config error: partition.num_clients: ")
 
 
 class TestThreadEnv:

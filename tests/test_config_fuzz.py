@@ -3,13 +3,17 @@
 Float keys take the edge values 0, the smallest subnormal, a subnormal,
 1 and 1e300; keys that size an array stay small, and the keys that only
 count or seed may also take int64's largest value. Whatever a config holds,
-`run` exits 0, 1 or 2 without raising, a run that exits 0 writes only
-finite numbers, and a config run twice writes the same bytes.
+`run` exits 0, 1 or 2 without raising, a run that exits 1 names the key at
+fault, a run that exits 0 writes only finite numbers, and a config run
+twice writes the same bytes.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -156,8 +160,14 @@ def test_any_config_exits_cleanly_with_finite_reproducible_output(obj):
         runs = []
         for name in ("first", "second"):
             out = os.path.join(tmp, name)
-            code = main(["run", path, "--out", out])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", path, "--out", out])
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+            if code == EXIT_CONFIG:
+                # config error: <section>.<key>, as in task.curvature_range
+                message = err.getvalue()
+                assert re.match(r"config error: \w+\.\w+[\w.\[\]]*: ", message), message
             runs.append((code, _written(out)))
         assert runs[0] == runs[1]
         if runs[0][0] == EXIT_OK:

@@ -29,10 +29,9 @@ from fedagm import (
     run_local,
     stochastic_gradient,
 )
-from fedagm import local as local_module
 from fedagm import tasks as tasks_module
 from fedagm.tasks import client_evaluation, row_blocks, weighted_dissimilarity
-from fedagm.theory import _minibatch_noise
+from fedagm.theory import _minibatch_noise, estimate_problem_constants
 
 KINDS = ("quadratic", "logistic", "mlp")
 
@@ -434,16 +433,42 @@ class TestRowBlocks:
         assert evaluation_peak - grads.nbytes - losses.nbytes <= budget
         assert dissimilarity_peak - mean.nbytes <= budget
 
+    def test_wide_stack_allocates_a_few_blocks_per_part_beyond_its_outputs(self):
+        # the W = 2 twin of the test above: each part has its own buffer
+        # and kernel scratch, so the budget scales with W
+        sizes = [10, 11] * 12
+        tasks, datasets = federation("mlp", sizes, 0, width=128, classes=10, hidden=256)
+        fed = StackedFederation.build(tasks, datasets)
+        assert tasks_module.is_wide(fed.dim)
+        x = 0.05 * np.random.default_rng(0).normal(size=fed.dim)
+        p = np.full(len(sizes), 1.0 / len(sizes))
+        budget = 2 * 2 * tasks_module.BLOCK_BYTES
+
+        with forced_workers(2):
+            client_evaluation(fed, x)  # the pool's threads start outside the trace
+            tracemalloc.start()
+            try:
+                losses, grads = client_evaluation(fed, x)
+                evaluation_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                mean, _ = weighted_dissimilarity(grads, p)
+                dissimilarity_peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert evaluation_peak - grads.nbytes - losses.nbytes <= budget
+        assert dissimilarity_peak - mean.nbytes <= budget
+
 
 @contextlib.contextmanager
 def forced_workers(n):
-    """Run the body with W, the worker count of `run_clients`' split, set to n."""
-    saved = local_module.worker_count
-    local_module.worker_count = lambda: n
+    """Run the body with W, the worker count of a row-blocked sweep's split, set to n."""
+    saved = tasks_module.worker_count
+    tasks_module.worker_count = lambda: n
     try:
         yield
     finally:
-        local_module.worker_count = saved
+        tasks_module.worker_count = saved
 
 
 class TestWorkerParts:
@@ -496,3 +521,46 @@ class TestWorkerParts:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert all(len(r[2]) == (r[0] + 1 if record else 0) for r in runs[0])
         assert all((len(r) == 4) == (variant == "scaffold") for r in runs[0])
+
+
+class TestSweepParts:
+    @given(
+        kind=st.sampled_from(KINDS),
+        sizes=st.lists(st.sampled_from([2, 3, 7]), min_size=2, max_size=9),
+        decay=st.sampled_from([0.0, 0.05]),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_worker_count_moves_no_evaluation_or_report_bit(self, kind, sizes, decay, batch, seed):
+        # One d-wide row per block makes every model wide, so the evaluation
+        # pass, the dissimilarity's gaps and the bound report's probes split
+        # at W = 2 and 3. Repeated shard sizes interleave, so size groups of
+        # consecutive ids (written in place) and of scattered ids (buffered)
+        # both occur; the weight decay is zero or not.
+        tasks, datasets = federation(kind, sizes, seed, decay=decay)
+        gen = np.random.default_rng(seed)
+        p = gen.dirichlet(np.ones(len(sizes)))
+        x = 0.3 * gen.normal(size=tasks[0].dim)
+        probes = [x, 0.5 * x, np.zeros_like(x)]
+
+        def sweeps():
+            problem = FederatedProblem(tasks, [ClientShard(d, w) for d, w in zip(datasets, p)])
+            fed = problem.stacked
+            losses, grads = client_evaluation(fed, x)
+            loss_only = client_evaluation(fed, x, gradients=False)[0]
+            mean, sigma_g = weighted_dissimilarity(grads, p)
+            c = estimate_problem_constants(
+                problem, K=2, gamma=0.1, S=1, x_points=probes, rng=RngStream(seed, 5),
+                batch_size=batch, noise_draws=11,
+            )
+            arrays = (losses, grads, loss_only, mean, c.sigma_i, c.G_i)
+            return [a.tobytes() for a in arrays] + [sigma_g, c.sigma_g, c.L]
+
+        runs = []
+        with block_budget(8 * tasks[0].dim):
+            assert tasks_module.is_wide(tasks[0].dim)
+            for workers in (1, 2, 3):
+                with forced_workers(workers):
+                    runs.append(sweeps())
+        assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -1,5 +1,5 @@
-"""A wide lockstep group's row blocks split across worker threads: how many
-workers, which groups split, and that a split moves no output byte."""
+"""A wide model's row blocks split across worker threads: how many workers,
+which sweeps split, and that a split moves no output byte."""
 
 import importlib.util
 import json
@@ -12,10 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from fedagm import LocalConfig, RngStream, StackedFederation, local, run_clients
+from fedagm import LocalConfig, RngStream, StackedFederation, run_clients
 from fedagm import tasks as tasks_module
+from fedagm.cli import main
 from fedagm.config import parse_config
 from fedagm.orchestrator import run_experiment
+from fedagm.theory import _minibatch_noise
 from test_golden import CASES
 from test_stacked import federation
 
@@ -36,27 +38,36 @@ class TestWorkerCount:
     @pytest.mark.parametrize("blas, expected", [(1, 2), (2, 1), (3, 1), (None, 1)])
     def test_cpus_over_blas_threads(self, monkeypatch, blas, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(local, "blas_threads", lambda: blas)
-        assert local.worker_count.__wrapped__() == expected
+        monkeypatch.setattr(tasks_module, "blas_threads", lambda: blas)
+        assert tasks_module.worker_count.__wrapped__() == expected
 
     def test_affinity_bounds_the_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4})
-        monkeypatch.setattr(local, "blas_threads", lambda: 2)
-        assert local.worker_count.__wrapped__() == 2
+        monkeypatch.setattr(tasks_module, "blas_threads", lambda: 2)
+        assert tasks_module.worker_count.__wrapped__() == 2
 
     def test_the_blas_count_reads_as_a_positive_count_or_none(self):
-        count = local.blas_threads()
+        count = tasks_module.blas_threads()
         assert count is None or count >= 1
 
 
 class TestWhichGroupsSplit:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Force W = 2 and record every pool the split asks for."""
+        """Force W = 2 and record every pool the split asks for: its thread
+        count and the function that called `run_parts`."""
         asked = []
-        pool = local._pool
-        monkeypatch.setattr(local, "worker_count", lambda: 2)
-        monkeypatch.setattr(local, "_pool", lambda threads: asked.append(threads) or pool(threads))
+        pool = tasks_module._pool
+
+        def ask(threads):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "run_parts":
+                frame = frame.f_back
+            asked.append((threads, frame.f_back.f_code.co_name))
+            return pool(threads)
+
+        monkeypatch.setattr(tasks_module, "worker_count", lambda: 2)
+        monkeypatch.setattr(tasks_module, "_pool", ask)
         return asked
 
     @pytest.mark.parametrize("name", ["logreg-eval", "mlp-compare"])
@@ -66,16 +77,26 @@ class TestWhichGroupsSplit:
             assert not run_experiment(parse_config(obj | {"rounds": 2})).diverged
         assert pools == []
 
-    def test_the_wide_workload_splits(self, pools):
+    def test_the_wide_workload_splits(self, pools, tmp_path):
+        # one round of `fedagm run`: the local steps, the evaluation pass,
+        # the dissimilarity's gaps and the bound report's probes all split
         (_, obj), = load_workloads().WORKLOADS["mlp-run"](0).configs
-        assert not run_experiment(parse_config(obj | {"rounds": 1})).diverged
-        assert pools == [1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj | {"rounds": 1}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert {threads for threads, _ in pools} == {1}
+        assert {caller for _, caller in pools} == {
+            "run_clients",
+            "client_evaluation",
+            "weighted_dissimilarity",
+            "_minibatch_noise",
+        }
 
 
 SCRIPT = """
 import sys, threading
-import fedagm.local
-fedagm.local.worker_count = lambda: int(sys.argv[1])
+import fedagm.tasks
+fedagm.tasks.worker_count = lambda: int(sys.argv[1])
 from fedagm.cli import main
 code = main(["run", sys.argv[2], "--out", sys.argv[3]])
 print(sum(t.name.startswith("fedagm-part") for t in threading.enumerate()))
@@ -84,9 +105,12 @@ sys.exit(code)
 
 
 def test_a_split_writes_the_same_bytes_at_one_blas_thread(tmp_path):
-    # d = 13124: the 6 slots span two row blocks
+    # d = 33770, a wide model: the 6 slots span six row blocks, and the
+    # evaluation pass, the dissimilarity's gaps and the noise probe split
+    obj = CASES["mlp-wide-scaffold-blocks"]
+    obj = obj | {"task": obj["task"] | {"hidden": 160}}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(CASES["mlp-wide-scaffold-blocks"]))
+    config.write_text(json.dumps(obj))
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     written, threads = [], []
@@ -108,19 +132,26 @@ def test_a_split_writes_the_same_bytes_at_one_blas_thread(tmp_path):
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # 12 one-slot blocks in 8 parts at a 1 us switch interval: a part that
     # wrote outside its rows, or raced another on a shared buffer, would
-    # move some slot's trajectory
+    # move some slot's trajectory, some client's evaluation (its clients'
+    # ids are scattered, so every block goes through a part's buffer), a
+    # gap norm or a noise estimate
     tasks, datasets = federation("mlp", [7, 9, 8, 11] * 3, 0, width=5, classes=3, hidden=6)
     fed = StackedFederation.build(tasks, datasets)
     clients = list(range(12))
     x = 0.3 * np.random.default_rng(1).normal(size=fed.dim)
+    p = np.full(12, 1 / 12)
     lanes = RngStream(2).derive_lanes(np.arange(12), np.array(clients))
     cfg = LocalConfig(K=4, gamma=0.1, batch_size=5, variant="prox", prox_mu=0.2)
     monkeypatch.setattr(tasks_module, "BLOCK_BYTES", 8 * fed.dim)
 
     def steps(workers):
-        monkeypatch.setattr(local, "worker_count", lambda: workers)
+        monkeypatch.setattr(tasks_module, "worker_count", lambda: workers)
         results = run_clients(fed, clients, x, cfg, lanes, record=True)
-        return [[xk.tobytes() for xk in [r.x_final, *r.trajectory]] for r in results]
+        losses, grads = tasks_module.client_evaluation(fed, x)
+        gaps = tasks_module.weighted_dissimilarity(grads, p)[1]
+        noise = _minibatch_noise(fed, x, grads, 5, RngStream(3), 11)
+        sweeps = [losses.tobytes(), grads.tobytes(), gaps, noise.tobytes()]
+        return [[xk.tobytes() for xk in [r.x_final, *r.trajectory]] for r in results] + sweeps
 
     expected = steps(1)
     interval = sys.getswitchinterval()
@@ -133,7 +164,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
 
 
 def test_a_failing_part_raises_once_every_part_has_ended(monkeypatch):
-    monkeypatch.setattr(local, "worker_count", lambda: 3)
+    monkeypatch.setattr(tasks_module, "worker_count", lambda: 3)
     ended = []
 
     def step(part):
@@ -143,5 +174,5 @@ def test_a_failing_part_raises_once_every_part_has_ended(monkeypatch):
         ended.append([b.start for b in part])
 
     with pytest.raises(ValueError, match="part"):
-        local.run_parts(step, [slice(i, i + 1) for i in range(4)])
+        tasks_module.run_parts(step, [slice(i, i + 1) for i in range(4)])
     assert sorted(ended) == [[0], [2, 3]]
