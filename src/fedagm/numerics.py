@@ -255,15 +255,18 @@ def l2_norm_sq(x: ParamVector) -> float:
     return float(inner(x, x))
 
 
-def sample_dirichlet(rng: RngStream | np.random.Generator, alpha: float, dim: int) -> np.ndarray:
+def sample_dirichlet(
+    rng: RngStream | np.random.Generator, alpha: float, dim: int, key: str | None = None
+) -> np.ndarray:
     """Draw one probability vector from Dir(alpha * ones(dim)).
 
     Sampled as normalized Gamma(alpha) draws. For very small alpha some
     draws underflow to exactly zero; the vector is redrawn in the (measure
-    zero in theory, ~never in practice) event that all of them do.
+    zero in theory, ~never in practice) event that all of them do. An
+    error about alpha carries `key`, the caller's name for it.
     """
     if alpha <= 0:
-        raise ParameterError(f"dirichlet concentration must be positive, got {alpha}", key="alpha")
+        raise ParameterError(f"dirichlet concentration must be positive, got {alpha}", key=key)
     if dim < 1:
         raise ParameterError(f"dirichlet dimension must be >= 1, got {dim}")
     if dim == 1:
@@ -274,4 +277,4 @@ def sample_dirichlet(rng: RngStream | np.random.Generator, alpha: float, dim: in
         total = draws.sum()
         if np.isfinite(total) and total > 0.0:
             return draws / total
-    raise NumericError("dirichlet sampling failed: all gamma draws underflowed", key="alpha")
+    raise NumericError("dirichlet sampling failed: all gamma draws underflowed", key=key)

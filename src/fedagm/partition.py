@@ -107,7 +107,7 @@ def _class_pools(labels: np.ndarray, num_classes: int, gen: np.random.Generator)
 
 def _client_class_probs(spec: PartitionSpec, num_classes: int, gen) -> np.ndarray:
     if spec.class_groups is None:
-        return sample_dirichlet(gen, spec.alpha, num_classes)
+        return sample_dirichlet(gen, spec.alpha, num_classes, key="alpha")
     groups = spec.class_groups
     if groups.size != num_classes:
         raise StructuralError(
@@ -115,7 +115,7 @@ def _client_class_probs(spec: PartitionSpec, num_classes: int, gen) -> np.ndarra
             key="class_groups",
         )
     sizes = np.bincount(groups)
-    q_group = sample_dirichlet(gen, spec.alpha, sizes.size)
+    q_group = sample_dirichlet(gen, spec.alpha, sizes.size, key="alpha")
     return q_group[groups] / sizes[groups]
 
 

@@ -452,13 +452,12 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="fedagm-part")
 
 
-def run_parts(step, blocks: list, rows=None, split: bool = True) -> None:
+def run_parts(step, blocks: list, split: bool = True) -> None:
     """Call step(part) on every part of `blocks`, cut into at most W runs of
-    consecutive blocks that carry about equal rows: the caller takes the
-    first part and pool threads the others, at the same time. Block j
-    carries `rows[j]` rows, or, for a slice, its length; equal blocks are
-    cut by count. With one block, or split False, step(blocks) runs on the
-    calling thread and no thread starts.
+    consecutive blocks, of block counts that differ by at most one: the
+    caller takes the first part and pool threads the others, at the same
+    time. With one block, or split False, step(blocks) runs on the calling
+    thread and no thread starts.
 
     The parts must touch disjoint rows of the sweep's outputs, each through
     scratch of its own; the stacked kernels give each row the bits it gets
@@ -469,10 +468,7 @@ def run_parts(step, blocks: list, rows=None, split: bool = True) -> None:
     if n == 1:
         step(blocks)
         return
-    ends = np.cumsum([b.stop - b.start for b in blocks] if rows is None else rows)
-    # part i ends after the last block whose rows end within i/n of the total
-    cuts = np.searchsorted(ends * n, ends[-1] * np.arange(1, n), side="right")
-    bounds = [0, *sorted(set(np.clip(cuts, 1, len(blocks) - 1).tolist())), len(blocks)]
+    bounds = [len(blocks) * i // n for i in range(n + 1)]
     parts = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     futures = [_pool(n - 1).submit(step, part) for part in parts[1:]]
     try:
@@ -644,7 +640,7 @@ def client_evaluation(
     gradients from one forward pass, and its weight decay is added while
     the block is in cache. A block of consecutive ids writes straight into
     the outputs, any other goes through a buffer. A wide model (`is_wide`)
-    runs its blocks as up to W parts of about equal data rows on the cores
+    runs its blocks as up to W parts of consecutive blocks on the cores
     BLAS leaves idle (`run_parts`), each part with a buffer of its own; the
     parts own disjoint clients, so the split moves no bit.
     """
@@ -684,9 +680,7 @@ def client_evaluation(
                 if not view:
                     grads[at] = g
 
-    plan = fed.eval_blocks
-    rows = [f.shape[0] * f.shape[1] for _, f, _, _ in plan]
-    run_parts(part, plan, rows, split=is_wide(x.size))
+    run_parts(part, fed.eval_blocks, split=is_wide(x.size))
     return losses, grads
 
 

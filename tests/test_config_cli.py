@@ -435,6 +435,33 @@ class TestRunCommand:
         assert report["notes"].startswith("run diverged at round 1")
 
     @quiet_overflow
+    def test_an_overflowing_evaluated_gradient_exits_as_diverged(self, tmp_path, capsys):
+        # One row whose features are ~1e300: the loss at x = 0 is log 2, but
+        # the gradient's squared norm overflows. The run ends at round 0
+        # before its row is logged, so metrics.csv holds no inf.
+        obj = quad_config(
+            rounds=2,
+            task={
+                "kind": "logistic",
+                "dataset": {
+                    "source": "blobs", "n": 1, "num_classes": 2, "num_features": 2,
+                    "center_spread": 1e300,
+                },
+                "test_fraction": 0.0,
+            },
+            partition={"scheme": "uniform", "num_clients": 1},
+            sampling={"clients_per_round": 1},
+        )
+        obj["local"]["batch_size"] = 1
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_DIVERGED
+        assert "diverged at round 0; last logged round is none" in capsys.readouterr().err
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["diverged"] is True and report["divergence_round"] == 0
+        assert read_rows(out / "metrics.csv") == []
+        assert "inf" not in (out / "metrics.jsonl").read_text().lower()
+
+    @quiet_overflow
     def test_overflowing_stepsize_exits_as_diverged(self, tmp_path):
         obj = quad_config(rounds=1, server={"name": "FedAvg", "eta": 1.0})
         obj["task"].update(num_clients=8, dim=4)

@@ -104,11 +104,14 @@ sys.exit(code)
 """
 
 
-def test_a_split_writes_the_same_bytes_at_one_blas_thread(tmp_path):
-    # d = 33770, a wide model: the 6 slots span six row blocks, and the
-    # evaluation pass, the dissimilarity's gaps and the noise probe split
+@pytest.mark.parametrize("hidden", [64, 160])
+def test_a_split_writes_the_same_bytes_at_one_blas_thread(tmp_path, hidden):
+    # d = 13124: the 6 slots span two row blocks of 4 and 2, and only the
+    # local steps split; d = 33770, a wide model: the 6 slots span six row
+    # blocks, and the evaluation pass, the dissimilarity's gaps and the
+    # noise probe split too
     obj = CASES["mlp-wide-scaffold-blocks"]
-    obj = obj | {"task": obj["task"] | {"hidden": 160}}
+    obj = obj | {"task": obj["task"] | {"hidden": hidden}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(obj))
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -161,6 +164,27 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
             assert steps(8) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "lengths, workers, expected",
+    [
+        # 13 slots in blocks of 4 and a short last block: 8 | 5 slots
+        ([4, 4, 4, 1], 2, [[4, 4], [4, 1]]),
+        ([4, 4, 1], 3, [[4], [4], [1]]),
+        ([4, 4, 1], 2, [[4], [4, 1]]),
+        ([1] * 5, 3, [[1], [1, 1], [1, 1]]),
+        ([3, 2], 1, [[3, 2]]),
+    ],
+)
+def test_parts_are_cut_by_block_count(monkeypatch, lengths, workers, expected):
+    monkeypatch.setattr(tasks_module, "worker_count", lambda: workers)
+    ends = np.cumsum([0, *lengths]).tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    parts = []
+    tasks_module.run_parts(parts.append, blocks)
+    parts.sort(key=lambda part: part[0].start)
+    assert [[b.stop - b.start for b in part] for part in parts] == expected
 
 
 def test_a_failing_part_raises_once_every_part_has_ended(monkeypatch):
