@@ -237,7 +237,8 @@ class ExperimentConfig:
 class ExperimentResult:
     """A run's state between rounds, and its result once they end: `start`
     builds it at round 0, and `advance` takes round `t` in place. `local`
-    and `server` carry the last round's gamma and eta.
+    and `server` carry the last round's gamma and eta; `method` names the
+    server, whatever its eta.
     `control_variates` is the (N, d) table of SCAFFOLD client variates
     (row i is client i's); it is None unless the run is scaffold.
     `overflowed` names the server array ("x", "m" or "v") whose non-finite
@@ -246,18 +247,24 @@ class ExperimentResult:
 
     metrics: list[RoundMetrics]
     state: ServerState
-    method: str
     local: LocalConfig
     server: ServerOptimizer
     gamma_tracker: PlateauTracker
     eta_tracker: PlateauTracker
     t: int = 0
-    diverged: bool = False
     divergence_round: int | None = None
     iterates: list | None = None
     drift: np.ndarray | None = None
     control_variates: np.ndarray | None = None
     overflowed: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_round is not None
+
+    @property
+    def method(self) -> str:
+        return recover_baseline(self.server)
 
     @property
     def grad_norm_history(self) -> np.ndarray:
@@ -281,7 +288,6 @@ def start(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         metrics=[],
         state=init_server_state(initial_point(cfg)),
-        method=recover_baseline(cfg.server),
         local=cfg.local,
         server=cfg.server,
         gamma_tracker=PlateauTracker(cfg.gamma_schedule.patience),
@@ -335,7 +341,7 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
         losses, grads = client_evaluation(prob.stacked, run.state.x, gradients=want_row)
         train_loss = weighted_loss(p, losses)
         if not np.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS_CAP:
-            run.diverged, run.divergence_round = True, t
+            run.divergence_round = t
             return
         run.gamma_tracker.update(train_loss)
         run.eta_tracker.update(train_loss)
@@ -347,7 +353,7 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
         # free the (N, d) stack, and its mean, before the clients train
         del grads, mean
         if not (np.isfinite(grad_norm_sq) and np.isfinite(sigma_g)):
-            run.diverged, run.divergence_round = True, t
+            run.divergence_round = t
             return
         _, test_acc = prob.test_metrics(run.state.x)
 
@@ -412,7 +418,7 @@ def advance(cfg: ExperimentConfig, run: ExperimentResult) -> None:
     run.t = t + 1
     run.overflowed = overflowed_array(run.state)
     if run.overflowed is not None:
-        run.diverged, run.divergence_round = True, run.t
+        run.divergence_round = run.t
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -224,10 +224,8 @@ def partition(
     return shards
 
 
-def empirical_label_histogram(shards: list[ClientShard], num_classes: int | None = None) -> np.ndarray:
+def empirical_label_histogram(shards: list[ClientShard], num_classes: int) -> np.ndarray:
     """Row i = client i's normalized class counts; an empty row stays all zero."""
-    if num_classes is None:
-        num_classes = max(shard.data.num_classes for shard in shards)
     hist = np.zeros((len(shards), num_classes))
     for i, shard in enumerate(shards):
         counts = np.bincount(shard.data.labels, minlength=num_classes).astype(np.float64)
@@ -242,10 +240,8 @@ def mean_label_entropy(hist: np.ndarray) -> float:
     return float(np.mean(-(hist * np.log(safe)).sum(axis=1)))
 
 
-def write_partition_report(path: str, shards: list[ClientShard], num_classes: int | None = None) -> None:
+def write_partition_report(path: str, shards: list[ClientShard], num_classes: int) -> None:
     """CSV with one row per client: raw class counts then the weight p_i."""
-    if num_classes is None:
-        num_classes = max(shard.data.num_classes for shard in shards)
     header = ["client"] + [f"class_{c}" for c in range(num_classes)] + ["p"]
     lines = [",".join(header)]
     for i, shard in enumerate(shards):

@@ -21,8 +21,9 @@ import functools
 import glob
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class QuadraticTask:
     curvature: np.ndarray
     center: np.ndarray
     weight_decay: float = 0.0
-    kind: str = field(default="quadratic", repr=False)
+    kind: ClassVar[str] = "quadratic"
 
     def __post_init__(self):
         self.curvature = np.asarray(self.curvature, dtype=np.float64)
@@ -105,7 +106,7 @@ class LogisticRegressionTask:
     num_features: int
     num_classes: int
     weight_decay: float = 0.0
-    kind: str = field(default="logistic", repr=False)
+    kind: ClassVar[str] = "logistic"
 
     def __post_init__(self):
         if self.num_features < 1 or self.num_classes < 2:
@@ -126,7 +127,7 @@ class MlpTask:
     hidden: int
     num_classes: int
     weight_decay: float = 0.0
-    kind: str = field(default="mlp", repr=False)
+    kind: ClassVar[str] = "mlp"
 
     def __post_init__(self):
         if min(self.num_features, self.hidden) < 1 or self.num_classes < 2:
@@ -252,14 +253,14 @@ def _softmax_residual(logits: np.ndarray, labels: np.ndarray, losses=None) -> np
 # between the forward and backward products runs class-major over all S * B
 # rows at once (`_softmax_residual`), and hands the backward its residual
 # back as a C-contiguous (S, B, C) array: a transposed view would change
-# how BLAS packs the operand, and with it the gradients' last bits. The
-# inner loop and the noise probe (`StackedFederation.data_gradients`, over
-# gathered rows), `full_gradient` and the evaluation pass
-# (`client_evaluation`, over views of the size-ordered rows) all run
-# through them, each taking a task's kernel from `_kernel`; `evaluate`
-# keeps its own forward pass as the reference the tests compare against.
-# The mean gradients, without weight decay, are written into out (S, d); with
-# `losses` (S,), the slots' mean losses from the same forward pass go there.
+# how BLAS packs the operand, and with it the gradients' last bits. Every
+# stacked call goes through `_stacked`, the one place that chooses the
+# arithmetic by task kind: the inner loop and the noise probe
+# (`StackedFederation.data_gradients`, over gathered rows), the evaluation
+# pass with or without gradients (`client_evaluation`, over views of the
+# size-ordered rows), and the lone client's `full_gradient` and
+# `stochastic_gradient` as one slot. `evaluate` keeps its own forward pass
+# as the reference the tests compare against.
 
 
 def _quadratic_grad(curvature, target, x, out=None):
@@ -314,23 +315,38 @@ def _mlp_grad(task: MlpTask, feats, labels, x, out, losses=None):
     return out
 
 
-def _kernel(task: LogisticRegressionTask | MlpTask):
-    """The stacked gradient kernel of a data task."""
-    return _logistic_grad if isinstance(task, LogisticRegressionTask) else _mlp_grad
-
-
 def _quadratic_sample_losses(task: QuadraticTask, feats, x):
     dx = x - feats
     dz = feats - task.center
     return 0.5 * ((dx * dx) @ task.curvature - (dz * dz) @ task.curvature)
 
 
-def _data_grad(task: Task, feats, labels, x):
-    """Mean gradient over the given rows, without weight decay: the one-slot
-    case of the stacked kernels."""
+def _stacked(task: Task, feats, labels, x, out=None, losses=None, fed=None, at=None):
+    """The one stacked kernel call, by task kind: mean gradients without
+    weight decay into out (S, d) and, with `losses` (S,), the slots' mean
+    losses; with out None it stops before the backward. A quadratic slot s
+    is client `at[s]` of `fed` (a lone call takes the task's curvature); its
+    gradient is analytic, at the center, unless drawn rows come without
+    losses, when it is taken at their mean anchor."""
     if isinstance(task, QuadraticTask):
-        return _quadratic_grad(task.curvature, feats.mean(axis=0), x)
-    return _kernel(task)(task, feats[None], labels[None], x[None], np.empty((1, x.size)))[0]
+        if losses is not None:
+            k = fed.curvature[at, :, None]
+            dx = x[:, None] - feats
+            dz = feats - fed.center[at, None]
+            losses[...] = _mean_losses(0.5 * ((dx * dx) @ k - (dz * dz) @ k)[..., 0])
+        if out is not None:
+            drawn = feats is not None and losses is None
+            curvature = task.curvature if fed is None else fed.curvature[at]
+            target = feats.mean(axis=1) if drawn else fed.center[at]
+            _quadratic_grad(curvature, target, x, out=out)
+    elif out is None:
+        # negating before the sum is exact: rounding is symmetric in sign
+        losses[...] = _mean_losses(-_label_log_probs(_logits(task, feats, x)[0], labels))
+    elif isinstance(task, LogisticRegressionTask):
+        _logistic_grad(task, feats, labels, x, out, losses)
+    else:
+        _mlp_grad(task, feats, labels, x, out, losses)
+    return out
 
 
 def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVector:
@@ -342,10 +358,11 @@ def full_gradient(task: Task, data: Dataset | None, x: ParamVector) -> ParamVect
     x = _check_dim(task, x)
     if isinstance(task, QuadraticTask):
         base = _quadratic_grad(task.curvature, task.center, x)
+    elif data is None:
+        raise StructuralError(f"{task.kind} gradient needs a dataset")
     else:
-        if data is None:
-            raise StructuralError(f"{task.kind} gradient needs a dataset")
-        base = _data_grad(task, data.features, data.labels, x)
+        feats, labels = data.features[None], data.labels[None]
+        base = _stacked(task, feats, labels, x[None], np.empty((1, x.size)))[0]
     return base + task.weight_decay * x
 
 
@@ -364,7 +381,8 @@ def stochastic_gradient(
         return GradSample(full_gradient(task, data, x), np.arange(data.n))
     gen = as_generator(rng)
     idx = gen.choice(data.n, size=batch_size, replace=False)
-    base = _data_grad(task, data.features[idx], data.labels[idx], x)
+    feats, labels = data.features[idx][None], data.labels[idx][None]
+    base = _stacked(task, feats, labels, x[None], np.empty((1, x.size)))[0]
     return GradSample(base + task.weight_decay * x, idx)
 
 
@@ -573,10 +591,9 @@ class StackedFederation:
         (N, d) output, so rather than one client each, their blocks hold
         `row_blocks` of the kernel's activations, a row of max(hidden,
         classes) float64s per data row (d per anchor row for quadratics).
-        Per block: the
-        client ids ascending, views of their features (S, n, p) and labels
-        (S, n), and where the block's rows go in the (N, ...) outputs (a
-        slice for consecutive ids, else the ids)."""
+        Per block: the client ids ascending, views of their features
+        (S, n, p) and labels (S, n), and where the block's rows go in the
+        (N, ...) outputs (a slice for consecutive ids, else the ids)."""
         task, wide = self.task, is_wide(self.dim)
         if isinstance(task, QuadraticTask):
             width = task.dim
@@ -612,7 +629,8 @@ class StackedFederation:
         clients = np.asarray(clients, dtype=np.int64)
         out = np.empty(x.shape) if out is None else out
         if draws is None and self.curvature is not None:
-            return _quadratic_grad(self.curvature[clients], self.center[clients], x, out=out)
+            # a quadratic's gradient over all of its rows reads none of them
+            return _stacked(self.task, None, None, x, out, fed=self, at=clients)
         if draws is None:
             sizes = self.sizes[clients]
             if np.any(sizes != sizes[0]):
@@ -621,11 +639,8 @@ class StackedFederation:
         # a gather keeps the index array's memory order, and the products
         # over column-major rows can round differently from row-major ones
         rows = np.add(self.starts[clients, None], draws, order="C")
-        if self.curvature is not None:
-            _quadratic_grad(self.curvature[clients], self.features[rows].mean(axis=1), x, out=out)
-        else:
-            _kernel(self.task)(self.task, self.features[rows], self.labels[rows], x, out)
-        return out
+        feats, labels = self.features[rows], self.labels[rows]
+        return _stacked(self.task, feats, labels, x, out, fed=self, at=clients)
 
 
 def client_evaluation(
@@ -654,26 +669,12 @@ def client_evaluation(
         buffered = [ids.size for ids, _, _, at in blocks if not isinstance(at, slice)]
         buffer = np.empty((max(buffered), x.size)) if gradients and buffered else None
         for ids, f, y, at in blocks:
-            xs = np.broadcast_to(x, (ids.size, x.size))
             view = isinstance(at, slice)
-            if gradients:
-                g = grads[at] if view else buffer[: ids.size]
-            if fed.curvature is not None:
-                curvature = fed.curvature[at, :, None]
-                dx = x - f
-                dz = f - fed.center[at, None]
-                sample = 0.5 * ((dx * dx) @ curvature - (dz * dz) @ curvature)[..., 0]
-                losses[at] = _mean_losses(sample)
-                if gradients:
-                    _quadratic_grad(fed.curvature[at], fed.center[at], x, out=g)
-            elif not gradients:
-                # negating before the sum is exact: rounding is symmetric in sign
-                sample = -_label_log_probs(_logits(fed.task, f, xs)[0], y)
-                losses[at] = _mean_losses(sample)
-            else:
-                block_losses = np.empty(ids.size)
-                _kernel(fed.task)(fed.task, f, y, xs, g, block_losses)
-                losses[at] = block_losses
+            g = (grads[at] if view else buffer[: ids.size]) if gradients else None
+            block_losses = np.empty(ids.size)
+            xs = np.broadcast_to(x, (ids.size, x.size))
+            _stacked(fed.task, f, y, xs, g, block_losses, fed=fed, at=at)
+            losses[at] = block_losses
             if gradients:
                 if decay is not None:
                     g += decay
@@ -844,10 +845,9 @@ def _read_exact(fh, count: int, path: str) -> bytes:
     return blob
 
 
-def load_idx_dataset(
-    images_path: str, labels_path: str, num_classes: int | None = None
-) -> Dataset:
-    """Read an IDX image/label file pair; features are scaled into [0, 1].
+def load_idx_dataset(images_path: str, labels_path: str) -> Dataset:
+    """Read an IDX image/label file pair; features are scaled into [0, 1],
+    and the largest label sets the class count.
 
     Big-endian headers: images carry magic 0x00000803 then [n, rows, cols],
     labels carry magic 0x00000801 then [n]; both are followed by raw bytes.
@@ -868,6 +868,4 @@ def load_idx_dataset(
     if n != n_labels:
         raise StructuralError(f"image count {n} != label count {n_labels}")
     features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if n else 1
-    return Dataset(features, labels.astype(np.int64), num_classes)
+    return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1 if n else 1)

@@ -4,6 +4,7 @@ All CLI checks call main() in-process so exit codes and file outputs can be
 asserted directly; nothing here shells out.
 """
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -803,6 +804,51 @@ def test_only_tasks_reads_the_stacked_row_layout():
     for path in sorted(pathlib.Path(fedagm.__file__).parent.glob("*.py")):
         if path.name != "tasks.py":
             assert ".starts" not in path.read_text(), path.name
+
+
+def test_one_function_chooses_the_stacked_arithmetic_by_task_kind():
+    # every stacked kernel call goes through tasks._stacked, which alone
+    # picks the logistic, MLP or quadratic arithmetic; its callers hand it
+    # rows, clients and outputs
+    tree = ast.parse(pathlib.Path(fedagm.tasks.__file__).read_text())
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert "_kernel" not in funcs and "_data_grad" not in funcs
+
+    def is_call(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    def callers(name):
+        return {f for f, node in funcs.items() if any(is_call(c, name) for c in ast.walk(node))}
+
+    def reads(node, attr):
+        return [a for a in ast.walk(node) if isinstance(a, ast.Attribute) and a.attr == attr]
+
+    def kind_tests(node):
+        task_classes = {"QuadraticTask", "LogisticRegressionTask", "MlpTask"}
+        return [
+            c
+            for c in ast.walk(node)
+            if is_call(c, "isinstance") and ast.unparse(c.args[1]) in task_classes
+        ] + reads(node, "kind")
+
+    assert callers("_logistic_grad") == callers("_mlp_grad") == {"_stacked"}
+    # the quadratic's losses are matmuls by its curvature: stacked in
+    # _stacked, and per row in evaluate's reference alone
+    quadratic_losses = {
+        name
+        for name, node in funcs.items()
+        if reads(node, "curvature")
+        and any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.MatMult) for b in ast.walk(node))
+    }
+    assert quadratic_losses == {"_stacked", "_quadratic_sample_losses"}
+    assert callers("_quadratic_sample_losses") == {"evaluate"}
+    evaluation = funcs["client_evaluation"]
+    assert not kind_tests(evaluation)
+    assert not reads(evaluation, "curvature") and not reads(evaluation, "center")
+    # data_gradients reads the kind once: a quadratic's full-data gradient
+    # gathers no rows
+    gradients = funcs["data_gradients"]
+    assert not kind_tests(gradients) and len(reads(gradients, "curvature")) == 1
 
 
 class TestCompareCommand:

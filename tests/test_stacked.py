@@ -294,7 +294,9 @@ class TestStackedEval:
         grads = fed.data_gradients(clients, xs, draws)
         for s, c in enumerate(clients):
             f, y = datasets[c].features[draws[s]], datasets[c].labels[draws[s]]
-            np.testing.assert_array_equal(grads[s], tasks_module._data_grad(tasks[c], f, y, xs[s]))
+            one = np.empty((1, fed.dim))
+            alone = tasks_module._stacked(tasks[c], f[None], y[None], xs[s][None], one)
+            np.testing.assert_array_equal(grads[s], alone[0])
 
     def test_view_is_built_once_per_problem(self):
         problem = self.problem("logistic")
