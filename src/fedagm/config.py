@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, FedAgmError
 from .local import LocalConfig
-from .numerics import RngStream
+from .numerics import RngStream, check_indexable
 from .orchestrator import (
     TAG_DATA,
     TAG_PARTITION,
@@ -287,6 +287,10 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
         noise = float(_get_number(task_sec, "anchor_noise", "task", default=1.0, minimum=0.0))
         wd = float(_get_number(task_sec, "weight_decay", "task", default=0.0, minimum=0.0))
         mode = _get_str(task_sec, "weights", "task", default="equal")
+        # the (N, d) centres, then the (N * n, d) anchor rows
+        _wrap("task", check_indexable, N * dim, {"num_clients": N, "dim": dim})
+        sizes = {"num_clients": N, "samples_per_client": samples, "dim": dim}
+        _wrap("task", check_indexable, N * samples * dim, sizes)
         stream = RngStream(seed).derive(TAG_DATA)
         tasks, p = _wrap(
             "task",
@@ -317,6 +321,7 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
     else:
         hidden = _get_int(task_sec, "hidden", "task", minimum=1)
         task = _wrap("task", MlpTask, features, hidden, classes, weight_decay=wd)
+        _wrap("task", check_indexable, task.dim, {"hidden": hidden})
     test_fraction = float(_get_number(task_sec, "test_fraction", "task", default=0.2))
     train, test = _split_train_test(data, test_fraction, seed)
     spec = parse_partition(_get_section(obj, "partition", "config"), "partition")

@@ -255,6 +255,15 @@ def l2_norm_sq(x: ParamVector) -> float:
     return float(inner(x, x))
 
 
+def check_indexable(entries: int, sizes: dict[str, int]) -> None:
+    """Raise ParameterError, keyed by the largest of `sizes` (the keys whose
+    values make up `entries`), unless a float64 array of `entries` entries
+    is one NumPy can index."""
+    if entries * 8 > np.iinfo(np.intp).max:
+        key = max(sizes, key=sizes.get)
+        raise ParameterError(f"sizes {entries} float64 entries, more than NumPy can index", key=key)
+
+
 def sample_dirichlet(
     rng: RngStream | np.random.Generator, alpha: float, dim: int, key: str | None = None
 ) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import ParameterError, StructuralError
 # run_local and full_gradient are not called here; they stay bound in this
 # module for code that wraps its names.
 from .local import LocalConfig, run_clients, run_local  # noqa: F401
-from .numerics import RngStream, l2_norm_sq
+from .numerics import RngStream, check_indexable, l2_norm_sq
 from .partition import ClientShard
 from .sampling import SamplingSpec, check_weights, sample_round
 from .serialize import RoundMetrics
@@ -222,6 +222,9 @@ class ExperimentConfig:
                 f"got {self.sampling.S}",
                 key="sampling.clients_per_round",
             )
+        # the lockstep group's (S, d) iterates
+        S = self.sampling.S
+        check_indexable(S * self.problem.dim, {"sampling.clients_per_round": S})
         if self.record_drift and self.local.epoch_mode:
             # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
             raise ParameterError("record_drift cannot be combined with epoch_mode")

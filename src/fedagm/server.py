@@ -181,16 +181,18 @@ def server_step(
 ) -> ServerState:
     """One outer update; returns a fresh state, inputs untouched.
 
-    With kind avg and eta = 1 the update is algebraically x_{t+1} = x_tilde;
-    passing x_tilde takes that path literally so the recovery is exact at
-    the bit level rather than up to roundoff.
+    With the identity calibration, beta1 = 0 and eta = 1, whatever the
+    kind, the update is algebraically x_{t+1} = x_tilde; passing x_tilde
+    takes that path literally so the recovery is exact at the bit level
+    rather than up to roundoff.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != state.x.shape:
         raise StructuralError("delta does not match the model dimension")
     m = opt.beta1 * state.m + (1.0 - opt.beta1) * delta
     v = _second_momentum(state, delta * delta, opt)
-    if opt.kind == "avg" and opt.eta == 1.0 and x_tilde is not None:
+    exact = opt.calibration.scheme == "identity" and opt.beta1 == 0.0 and opt.eta == 1.0
+    if exact and x_tilde is not None:
         x = np.asarray(x_tilde, dtype=np.float64).copy()
     else:
         x = state.x - (opt.eta / calibrate(v, opt.calibration)) * m

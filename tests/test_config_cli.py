@@ -317,6 +317,23 @@ class TestRunCommand:
         assert "admissible" in report
         assert report["mu_lower"] > 0.0
 
+    def test_an_identity_adam_without_momentum_at_unit_eta_is_fedavg(self, tmp_path):
+        # the exact averaging step follows the parameters, not the kind
+        adam = {
+            "kind": "adam",
+            "eta": 1.0,
+            "beta1": 0.0,
+            "beta2": 0.99,
+            "calibration": {"scheme": "identity"},
+        }
+        written = []
+        for name, server in (("adam", adam), ("avg", {"name": "FedAvg", "eta": 1.0})):
+            cfg = write_config(tmp_path, logistic_config() | {"server": server}, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
+
     def test_seed_override_changes_metrics(self, tmp_path):
         cfg = write_config(tmp_path, quad_config())
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -558,6 +575,34 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: task.{key}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, fields, key",
+        [
+            ("task", {"num_clients": 2**62}, "num_clients"),
+            ("task", {"dim": 2**62}, "dim"),
+            ("task", {"samples_per_client": 2**62}, "samples_per_client"),
+            ("sampling", {"clients_per_round": 2**62}, "clients_per_round"),
+            # the largest key of the product is named
+            ("task", {"num_clients": 2**31, "dim": 2**33}, "dim"),
+            ("task", {"num_clients": 2**20, "dim": 2**20, "samples_per_client": 2**21}, "samples_per_client"),
+        ],
+    )
+    def test_a_size_no_array_can_index_is_a_config_error(self, tmp_path, capsys, section, fields, key):
+        # 2**62 float64s are more bytes than NumPy can index; the check comes
+        # before anything is allocated
+        obj = quad_with(section, **fields)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, obj), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}.{key}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_an_mlp_too_wide_to_index_is_a_config_error(self, tmp_path, capsys):
+        obj = logistic_config()
+        obj["task"].update(kind="mlp", hidden=2**62)
+        assert main(["run", write_config(tmp_path, obj), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: task.hidden: ")
 
     @quiet_overflow
     def test_bound_report_is_strict_json(self, tmp_path):

@@ -1,8 +1,10 @@
 """Config fuzzer: `fedagm run` on configs drawn over every section.
 
 Float keys take the edge values 0, the smallest subnormal, a subnormal,
-1 and 1e300; keys that size an array stay small, and the keys that only
-count or seed may also take int64's largest value. Whatever a config holds,
+1 and 1e300; keys that size an array stay small, except that the ones
+sizing a quadratic's or the lockstep group's float64 arrays may also take
+2**62, which no NumPy array can index; the keys that only count or seed
+may also take int64's largest value. Whatever a config holds,
 `run` exits 0, 1 or 2 without raising, a run that exits 1 names the key at
 fault, a run that exits 0 writes only finite numbers, and a config run
 twice writes the same bytes.
@@ -37,6 +39,11 @@ def counts(lo, hi):
     return st.one_of(st.integers(lo, hi), st.just(2**63 - 1))
 
 
+def sizes(lo, hi):
+    """A small size, or 2**62: more float64 entries than NumPy can index."""
+    return st.one_of(st.integers(lo, hi), st.just(2**62))
+
+
 def section(required, **optional):
     return st.fixed_dictionaries(required, optional=optional)
 
@@ -54,12 +61,12 @@ blobs = section(
 quadratic = section(
     {
         "kind": st.just("quadratic"),
-        "num_clients": st.integers(1, 4),
-        "dim": st.integers(1, 3),
+        "num_clients": sizes(1, 4),
+        "dim": sizes(1, 3),
         "heterogeneity": floats,
     },
     curvature_range=st.lists(floats, min_size=2, max_size=2),
-    samples_per_client=st.integers(1, 6),
+    samples_per_client=sizes(1, 6),
     anchor_noise=floats,
     weight_decay=floats,
     weights=st.sampled_from(["equal", "dirichlet"]),
@@ -103,7 +110,7 @@ configs = section(
             prox_mu=floats,
             epoch_mode=st.booleans(),
         ),
-        "sampling": section({"clients_per_round": st.integers(1, 4)}, mode=st.sampled_from(MODES)),
+        "sampling": section({"clients_per_round": sizes(1, 4)}, mode=st.sampled_from(MODES)),
         "server": server,
     },
     seed=counts(0, 3),

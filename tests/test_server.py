@@ -27,7 +27,7 @@ from fedagm import (
     server_step,
     stochastic_gradient,
 )
-from fedagm.server import IDENTITY
+from fedagm.server import IDENTITY, KINDS
 
 
 def drive(opt, deltas, x0=None):
@@ -234,9 +234,12 @@ class TestMomenta:
 
 
 class TestServerStep:
-    def test_avg_unit_eta_returns_average_bitwise(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_identity_unit_eta_without_momentum_returns_average_bitwise(self, kind):
+        # the parameters, not the kind, make the step plain averaging
         gen = np.random.default_rng(7)
-        opt = ServerOptimizer("avg", eta=1.0)
+        beta2 = 0.0 if kind in ("avg", "momentum") else 0.99
+        opt = ServerOptimizer(kind, eta=1.0, beta1=0.0, beta2=beta2)
         state = init_server_state(gen.normal(size=4))
         for _ in range(20):
             x_tilde = gen.normal(size=4)

@@ -341,6 +341,35 @@ class TestDriftBound:
         assert not report.satisfied
         assert report.empirical == pytest.approx(2.0, rel=1e-9)
 
+    def test_each_round_takes_its_own_gamma(self):
+        # round t's ceiling is drift_rhs at gamma_t; at c.gamma the larger
+        # rounds' drifts would break it
+        c = constants(sigma_g=0.5, K=3, gamma=0.01)
+        gammas = np.array([0.01, 0.02, 0.04])
+        grad_norm_sq = np.array([1.0, 0.5, 2.0])
+        rhs = np.array([drift_rhs(c, gn, g) for gn, g in zip(grad_norm_sq, gammas)])
+        drift = np.outer(rhs, [0.1, 0.5, 0.75, 0.9])
+        report = verify_drift_bound(drift, grad_norm_sq, c, gammas=gammas)
+        assert report.satisfied and report.notes == "0 violations over 12 (t, k) cells"
+        assert report.empirical == pytest.approx(0.9, rel=1e-12)
+        # at c.gamma the ceilings of rounds 1 and 2 are 4 and 16 times lower
+        at_constant = verify_drift_bound(drift, grad_norm_sq, c)
+        assert at_constant.notes == "7 violations over 12 (t, k) cells"
+
+    def test_no_gammas_is_the_constant_gamma(self):
+        c = constants(sigma_g=0.5, K=3, gamma=0.01)
+        gen = np.random.default_rng(3)
+        drift, grad_norm_sq = gen.uniform(0.0, 1e-3, (6, 4)), gen.uniform(0.0, 2.0, 6)
+        constant = verify_drift_bound(drift, grad_norm_sq, c, gammas=np.full(6, c.gamma))
+        assert verify_drift_bound(drift, grad_norm_sq, c) == constant
+
+    def test_one_round_above_the_regime_makes_the_report_inapplicable(self):
+        c = constants(K=3, gamma=0.01)  # 1/(8LK) = 1/24
+        gammas = np.array([0.01, 0.05, 0.01])
+        report = verify_drift_bound(np.zeros((3, 4)), np.ones(3), c, gammas=gammas)
+        assert report.satisfied and report.notes.startswith("inapplicable")
+        assert np.isnan(report.bound)
+
 
 class TestRateEnvelope:
     def test_inverse_sqrt_history_satisfies(self):
