@@ -287,8 +287,7 @@ def build_problem(obj: dict, seed: int, base_dir: str = ".") -> FederatedProblem
         noise = float(_get_number(task_sec, "anchor_noise", "task", default=1.0, minimum=0.0))
         wd = float(_get_number(task_sec, "weight_decay", "task", default=0.0, minimum=0.0))
         mode = _get_str(task_sec, "weights", "task", default="equal")
-        # the (N, d) centres, then the (N * n, d) anchor rows
-        _wrap("task", check_indexable, N * dim, {"num_clients": N, "dim": dim})
+        # the (N * n, d) anchor rows, no fewer than the (N, d) centres
         sizes = {"num_clients": N, "samples_per_client": samples, "dim": dim}
         _wrap("task", check_indexable, N * samples * dim, sizes)
         stream = RngStream(seed).derive(TAG_DATA)

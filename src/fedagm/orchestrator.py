@@ -222,9 +222,9 @@ class ExperimentConfig:
                 f"got {self.sampling.S}",
                 key="sampling.clients_per_round",
             )
-        # the lockstep group's (S, d) iterates
-        S = self.sampling.S
-        check_indexable(S * self.problem.dim, {"sampling.clients_per_round": S})
+        # the lockstep group's (S, d) iterates; the task section sizes d
+        S, d = self.sampling.S, self.problem.dim
+        check_indexable(S * d, {"sampling.clients_per_round": S, "task": d})
         if self.record_drift and self.local.epoch_mode:
             # the drift table has K + 1 columns; an epoch-mode client takes ceil(n_i / batch) steps
             raise ParameterError("record_drift cannot be combined with epoch_mode")

@@ -651,7 +651,7 @@ def client_evaluation(
     full_gradient(task_i, data_i, x), bit for bit.
 
     One pass over `fed.eval_blocks`, the size groups' blocks of clients,
-    through the stacked kernels; a data task takes a block's losses and
+    one `_stacked` call a block; a data task takes a block's losses and
     gradients from one forward pass, and its weight decay is added while
     the block is in cache. A block of consecutive ids writes straight into
     the outputs, any other goes through a buffer. A wide model (`is_wide`)

@@ -598,11 +598,14 @@ class TestRunCommand:
         assert err.startswith(f"config error: {section}.{key}: ") and "Traceback" not in err
         assert not out.exists()
 
-    def test_an_mlp_too_wide_to_index_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("hidden, where", [(2**62, "task.hidden"), (2**56, "task")])
+    def test_an_mlp_too_wide_to_index_is_a_config_error(self, tmp_path, capsys, hidden, where):
+        # 2**56 hidden units make d about 2**59, which indexes alone, but
+        # not as the (S, d) iterates of S = 3 slots, of which d is the larger
         obj = logistic_config()
-        obj["task"].update(kind="mlp", hidden=2**62)
+        obj["task"].update(kind="mlp", hidden=hidden)
         assert main(["run", write_config(tmp_path, obj), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: task.hidden: ")
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
     @quiet_overflow
     def test_bound_report_is_strict_json(self, tmp_path):
