@@ -2,9 +2,9 @@
 
 Float keys take the edge values 0, the smallest subnormal, a subnormal,
 1 and 1e300; keys that size an array stay small, except that the ones
-sizing a quadratic's or the lockstep group's float64 arrays may also take
-2**62, which no NumPy array can index; the keys that only count or seed
-may also take int64's largest value. Whatever a config holds,
+sizing a quadratic's, an MLP's or the lockstep group's float64 arrays may
+also take 2**62, which no NumPy array can index; the keys that only count
+or seed may also take int64's largest value. Whatever a config holds,
 `run` exits 0, 1 or 2 without raising, a run that exits 1 names the key at
 fault, a run that exits 0 writes only finite numbers, and a config run
 twice writes the same bytes.
@@ -72,7 +72,7 @@ quadratic = section(
     weights=st.sampled_from(["equal", "dirichlet"]),
 )
 data_task = section(
-    {"kind": st.sampled_from(["logistic", "mlp"]), "dataset": blobs, "hidden": st.integers(1, 3)},
+    {"kind": st.sampled_from(["logistic", "mlp"]), "dataset": blobs, "hidden": sizes(1, 3)},
     weight_decay=floats,
     test_fraction=floats,
 )
